@@ -1,12 +1,10 @@
-"""Benchmarks of the ``greedwork check`` / ``greedwork fix`` engines.
+"""Benchmarks of the ``greedwork check`` engine.
 
 The suite's usefulness depends on it being cheap enough to run on
-every edit: a cold run re-analyzes the whole tree, a warm run must
+every edit: a cold run re-analyzes the whole tree, and a warm run must
 come entirely from the content-hash cache (``analyzed=0`` — CI gates
-on this), and a ``fix`` run on a clean tree must converge immediately
-(zero rounds of rewriting).  These benchmarks time all three so the
-engine's wall-time trajectory is tracked per commit, not just
-asserted once.
+on this).  These benchmarks time both so the engine's wall-time
+trajectory is tracked per commit, not just asserted once.
 
 Running this file as a script times the matrix without pytest and
 appends the rows to ``BENCH_staticcheck.json``::
@@ -25,14 +23,13 @@ import time
 from pathlib import Path
 
 from repro.staticcheck import run_checks
-from repro.staticcheck.fixers import run_fix
 
 #: The paths the repo's own CI gates run the suite over.
 CHECK_PATHS = ("src", "tests", "benchmarks", "examples")
 
 
 def measure_staticcheck(rounds: int = 3):
-    """Best-of-``rounds`` timings for cold check, warm check, no-op fix.
+    """Best-of-``rounds`` timings for a cold and a warm check.
 
     Uses a throwaway cache directory so the run never perturbs the
     repository's real ``.greedwork_cache``.  Returns one row per kind
@@ -42,12 +39,8 @@ def measure_staticcheck(rounds: int = 3):
     paths = [root / p for p in CHECK_PATHS]
     runs = []
     with tempfile.TemporaryDirectory(prefix="gwbench-") as cache_dir:
-        cells = (
-            ("check-cold", True, False),
-            ("check-warm", False, False),
-            ("fix-noop", False, True),
-        )
-        for kind, fresh_cache, use_fix in cells:
+        for kind, fresh_cache in (("check-cold", True),
+                                  ("check-warm", False)):
             best = float("inf")
             counters = {}
             for _ in range(rounds):
@@ -55,17 +48,9 @@ def measure_staticcheck(rounds: int = 3):
                     for entry in Path(cache_dir).glob("*"):
                         entry.unlink()
                 started = time.perf_counter()
-                if use_fix:
-                    fix = run_fix(paths, project_root=root, dry_run=True,
-                                  cache=True, cache_dir=Path(cache_dir))
-                    result = fix.check
-                    extra = {"fix_rounds": fix.rounds,
-                             "fixed": len(fix.fixed)}
-                else:
-                    result = run_checks(paths, project_root=root,
-                                        cache=True,
-                                        cache_dir=Path(cache_dir))
-                    extra = {}
+                result = run_checks(paths, project_root=root,
+                                    cache=True,
+                                    cache_dir=Path(cache_dir))
                 elapsed = time.perf_counter() - started
                 if elapsed < best:
                     best = elapsed
@@ -75,7 +60,6 @@ def measure_staticcheck(rounds: int = 3):
                         "cached": result.files_from_cache,
                         "findings": len(result.findings),
                     }
-                    counters.update(extra)
                 if fresh_cache:
                     break               # cold timing is one-shot by nature
             row = {"kind": kind, "seconds": round(best, 6)}
@@ -88,7 +72,6 @@ def test_check_warm_fully_cached():
     """A warm run over the repo tree analyzes zero files."""
     rows = {row["kind"]: row for row in measure_staticcheck(rounds=1)}
     assert rows["check-warm"]["analyzed"] == 0
-    assert rows["fix-noop"]["fix_rounds"] == 0
 
 
 def append_trajectory(path: str, runs) -> None:
@@ -110,7 +93,7 @@ def append_trajectory(path: str, runs) -> None:
 def main(argv=None) -> int:
     """Script mode: time the engine matrix, append the trajectory."""
     parser = argparse.ArgumentParser(
-        description="greedwork check/fix engine benchmark")
+        description="greedwork check engine benchmark")
     parser.add_argument("-o", "--output",
                         default="BENCH_staticcheck.json",
                         help="trajectory file to append to")

@@ -1,16 +1,12 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the ``bench_*`` microbenchmarks.
 
-Each ``bench_*`` module regenerates one paper table/figure/theorem via
-the experiment registry, times it with pytest-benchmark, prints the
-regenerated report, and asserts the paper's qualitative claim held.
-Experiment benchmarks run a single round (they are minutes-scale
-end-to-end reproductions, not microbenchmarks); microbenchmarks of the
-hot code paths live in ``bench_micro.py``.
+Experiments are timed end to end by perfbench (``experiments.<id>.s``
+on the ``paper-fast`` workload, see ``perfbench/README.md``); the
+modules here time the hot code paths of single layers.
 """
 
 import pytest
 
-from repro.experiments.registry import get_experiment
 from repro.sim import cache as sim_cache
 
 
@@ -24,14 +20,3 @@ def _sim_cache_off():
     sim_cache.set_enabled(False)
     yield
     sim_cache.set_enabled(None)
-
-
-def run_experiment_benchmark(benchmark, experiment_id: str, seed: int = 0):
-    """Time one fast-mode experiment run and certify its claim."""
-    runner = get_experiment(experiment_id)
-    report = benchmark.pedantic(
-        lambda: runner(seed=seed, fast=True), rounds=1, iterations=1)
-    print()
-    print(report.render())
-    assert report.passed, f"{experiment_id} claim failed:\n" + report.render()
-    return report

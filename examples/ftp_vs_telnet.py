@@ -12,6 +12,8 @@ simulated per-user queues are compared with the analytic allocation.
 Run:  python examples/ftp_vs_telnet.py
 """
 
+from typing import List, Optional
+
 import numpy as np
 
 from repro import FairShareAllocation, ProportionalAllocation, solve_nash
@@ -30,9 +32,20 @@ PROFILE = [
 LABELS = ["ftp-1", "ftp-2", "telnet-1", "telnet-2"]
 
 
-def delay_of(rates: np.ndarray, congestion: np.ndarray) -> np.ndarray:
-    """Per-user mean sojourn time via Little's law (c = r d)."""
-    return congestion / rates
+def delay_of(rates: np.ndarray,
+             congestion: np.ndarray) -> List[Optional[float]]:
+    """Per-user mean sojourn time via Little's law (c = r d).
+
+    A flow that sent nothing has no sojourn time: its delay is
+    undefined (``None``) rather than ``0/0``.
+    """
+    return [float(c) / float(r) if r > 0.0 else None
+            for r, c in zip(rates, congestion)]
+
+
+def delay_cell(delay: Optional[float]):
+    """Table cell for a delay that may be undefined."""
+    return "undefined" if delay is None else delay
 
 
 def main() -> None:
@@ -53,12 +66,14 @@ def main() -> None:
         for i, label in enumerate(LABELS):
             table.add_row(label, float(rates[i]),
                           float(equilibrium.congestion[i]),
-                          float(sim.mean_queues[i]), float(delays[i]),
-                          float(sim_delays[i]))
+                          float(sim.mean_queues[i]), delay_cell(delays[i]),
+                          delay_cell(sim_delays[i]))
         print(table.render())
-        telnet_delay = float(delays[2:].mean())
+        telnet_delays = [d for d in delays[2:] if d is not None]
+        telnet_delay = (f"{np.mean(telnet_delays):.3f}" if telnet_delays
+                        else "undefined")
         ftp_rate = float(rates[:2].sum())
-        print(f"  -> telnet mean delay {telnet_delay:.3f}, "
+        print(f"  -> telnet mean delay {telnet_delay}, "
               f"ftp aggregate throughput {ftp_rate:.3f}\n")
 
     print("Fair Share mirrors the paper's Fair Queueing findings: the "

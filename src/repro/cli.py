@@ -175,45 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="list rule ids and exit")
     check_parser.add_argument("--verbose", action="store_true",
                               help="also show suppressed findings")
-    check_parser.add_argument("--fix", action="store_true",
-                              help="apply registered autofixes "
-                                   "(verified and transactional) "
-                                   "before reporting")
-    check_parser.add_argument("--diff", action="store_true",
-                              help="with --fix: print unified diffs "
-                                   "of the applied rewrites")
-
-    fix_parser = sub.add_parser(
-        "fix",
-        help="apply verified autofixes for static-analysis findings")
-    fix_parser.add_argument("paths", nargs="*", default=None,
-                            help="files/directories (default: src)")
-    fix_parser.add_argument("--diff", action="store_true",
-                            help="print unified diffs of the applied "
-                                 "rewrites")
-    fix_parser.add_argument("--dry-run", action="store_true",
-                            help="report what would change without "
-                                 "writing anything")
-    fix_parser.add_argument("--format", choices=("text", "json"),
-                            default="text", dest="output_format")
-    fix_parser.add_argument("--select", default=None,
-                            help="comma-separated rule ids or family "
-                                 "prefixes to fix (e.g. GW003,GW1)")
-    fix_parser.add_argument("--ignore", default=None,
-                            help="comma-separated rule ids or family "
-                                 "prefixes to leave alone")
-    fix_parser.add_argument("--no-cache", action="store_true",
-                            help="do not invalidate the incremental "
-                                 "check cache for rewritten files")
-    fix_parser.add_argument("--cache-dir", default=None,
-                            help="cache location (default: "
-                                 "<cwd>/.greedwork_cache)")
-    fix_parser.add_argument("--baseline", default=None,
-                            help="baseline file to apply and prune "
-                                 "(default: .greedwork_baseline.json "
-                                 "when present)")
-    fix_parser.add_argument("--verbose", action="store_true",
-                            help="also show remaining findings")
 
     sweep_parser = sub.add_parser(
         "sweep",
@@ -522,12 +483,6 @@ def _cmd_check(args: "argparse.Namespace") -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
 
-    if args.fix and args.update_baseline:
-        print("error: --fix and --update-baseline are mutually "
-              "exclusive (fix first, then accept what remains)",
-              file=sys.stderr)
-        return 2
-
     paths = _default_check_paths(args.paths)
     if _report_missing(paths):
         return 2
@@ -538,27 +493,13 @@ def _cmd_check(args: "argparse.Namespace") -> int:
     active_baseline = None if args.update_baseline else (
         baseline_path if baseline_path is not None
         and os.path.exists(baseline_path) else None)
-    fix_result = None
     try:
-        if args.fix:
-            from repro.staticcheck.fixers import run_fix
-
-            if active_baseline is None \
-                    and os.path.exists(DEFAULT_BASELINE_NAME):
-                active_baseline = DEFAULT_BASELINE_NAME
-            fix_result = run_fix(
-                paths, rules=rules,
-                cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-                baseline=active_baseline)
-            result = fix_result.check
-        else:
-            result = run_checks(
-                paths, rules=rules,
-                jobs=args.jobs,
-                cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-                baseline=active_baseline)
+        result = run_checks(
+            paths, rules=rules,
+            jobs=args.jobs,
+            cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            baseline=active_baseline)
     except CheckUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -573,16 +514,11 @@ def _cmd_check(args: "argparse.Namespace") -> int:
         return 0
 
     if args.output_format == "json":
-        report = render_json(result, fix=fix_result)
+        report = render_json(result)
     elif args.output_format == "sarif":
-        report = render_sarif(result, rules=rules, fix=fix_result)
+        report = render_sarif(result, rules=rules)
     else:
         report = render_text(result, verbose=args.verbose)
-        if fix_result is not None:
-            from repro.staticcheck.reporters import render_fix_text
-
-            report = (render_fix_text(fix_result, diff=args.diff)
-                      + "\n\n" + report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")
@@ -593,56 +529,9 @@ def _cmd_check(args: "argparse.Namespace") -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_fix(args: "argparse.Namespace") -> int:
-    from repro.staticcheck import (
-        CheckUsageError,
-        all_rules,
-        render_text,
-        select_rules,
-    )
-    from repro.staticcheck.baseline import DEFAULT_BASELINE_NAME
-    from repro.staticcheck.fixers import run_fix
-    from repro.staticcheck.reporters import render_fix_text, render_json
-
-    try:
-        rules = select_rules(all_rules(),
-                             select=_split_selectors(args.select),
-                             ignore=_split_selectors(args.ignore))
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    paths = _default_check_paths(args.paths)
-    if _report_missing(paths):
-        return 2
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_BASELINE_NAME):
-        baseline_path = DEFAULT_BASELINE_NAME
-    try:
-        result = run_fix(paths, rules=rules,
-                         dry_run=args.dry_run,
-                         cache=not args.no_cache,
-                         cache_dir=args.cache_dir,
-                         baseline=baseline_path)
-    except CheckUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.output_format == "json":
-        print(render_json(result.check, fix=result))
-    else:
-        print(render_fix_text(result, diff=args.diff))
-        if args.verbose and not result.check.ok:
-            print()
-            print(render_text(result.check))
-    return 0 if result.check.ok else 1
-
-
-#: Rule-family display names, keyed by id prefix (GW1xx = "GW1").
+#: Rule-family display names, keyed by id prefix (GW2xx = "GW2").
 _RULE_FAMILIES = {
     "GW0": "contracts",
-    "GW1": "perf",
     "GW2": "numerics",
     "GW3": "whole-program",
     "GW4": "state-contract",
@@ -657,22 +546,17 @@ def _cmd_explain(selectors: List[str]) -> int:
     The ``explain`` output *is* the class docstring (dedented), so the
     documentation cannot drift from the rule implementation: editing
     the rule's Rationale/Example/Fix sections updates both.  With no
-    selector, print the one-line catalog instead: id, family, summary,
-    and whether ``repro fix`` has a registered autofixer for it.
+    selector, print the one-line catalog instead: id, family, summary.
     """
     import inspect
 
     from repro.staticcheck import all_rules, select_rules
 
     if not selectors:
-        from repro.staticcheck.fixers import fixable_rule_ids
-
-        fixable = set(fixable_rule_ids())
         for rule in all_rules():
             family = _RULE_FAMILIES.get(rule.rule_id[:3], "misc")
-            marker = "fixable" if rule.rule_id in fixable else "-"
             summary = " ".join(rule.description.split())
-            print(f"{rule.rule_id}  {family:<15} {marker:<8} "
+            print(f"{rule.rule_id}  {family:<15} "
                   f"{rule.name}: {summary}")
         return 0
 
@@ -822,8 +706,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                            args.seed)
     if args.command == "check":
         return _cmd_check(args)
-    if args.command == "fix":
-        return _cmd_fix(args)
     if args.command == "explain":
         return _cmd_explain(args.rules)
     if args.command == "sweep":

@@ -59,10 +59,10 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
                  lambda: FiniteBufferPolicy(
                      FairShareLadderQueue(rates), capacity,
                      push_out=True))):
-            # greedwork: ignore[GW106] -- the verdict is a loss
-            # *fraction* over a known offered load (rho > 1, lossy
-            # finite buffers): there is no queue-CI target, and the
-            # control-variate laws assume lossless Poisson flow.
+            # The verdict is a loss *fraction* over a known offered load
+            # (rho > 1, lossy finite buffers): there is no queue-CI
+            # target, and the control-variate laws assume lossless
+            # Poisson flow.
             result = simulate(SimulationConfig(
                 rates=rates, policy=build(), horizon=horizon,
                 warmup=warmup, seed=seed))

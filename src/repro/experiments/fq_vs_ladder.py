@@ -98,9 +98,9 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
         headers=["policy", "victim mean queue", "attacker mean queue"])
     victim = {}
     for k, policy in enumerate(("fifo", "fair-queueing", "fair-share")):
-        # greedwork: ignore[GW106] -- the claim is divergence: FIFO's
-        # victim queue grows without bound at rho > 1, so no CI target
-        # exists and a fixed observation window is the measurement.
+        # The claim is divergence: FIFO's victim queue grows without
+        # bound at rho > 1, so no CI target exists and a fixed
+        # observation window is the measurement.
         result = simulate(SimulationConfig(
             rates=attack, policy=policy, horizon=flood_horizon,
             warmup=flood_horizon * 0.05, seed=seed + 10 + k))

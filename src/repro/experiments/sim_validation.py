@@ -87,8 +87,6 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
         # to hide and the adaptive-precision CIs resolve).
         rel_tol = (0.25 if policy in ("adaptive-fair-share",
                                       "round-robin") else 0.10)
-        # greedwork: ignore[GW101] -- emits one table row per user
-        # across three parallel arrays; inherently scalar.
         for i in range(rates.size):
             sim_value = float(precision.summary.means[i])
             ref_value = float(reference[i])

@@ -21,9 +21,10 @@ bounded number of per-user :func:`~repro.game.best_response
 .utility_improvement` spot checks against the expanded N-vector, which
 exercise the completely independent per-user evaluation path.
 
-Per-user O(N) loops do not belong in this module; the GW107
-staticcheck rule enforces that, and the deliberately bounded
-certification loop carries the one justified suppression.
+Per-user O(N) loops do not belong in this module: the solver's
+objective, congestion and grid counts must not grow with N
+(``tests/test_class_space.py`` pins that), and the deliberately
+bounded certification loop is the one per-user loop here.
 """
 
 from __future__ import annotations
@@ -327,9 +328,9 @@ def certify_expansion(allocation, utilities: Sequence[Utility],
     expanded = expand_class_rates(c, m)
     starts = np.concatenate(([0], np.cumsum(m)[:-1]))
     worst = -math.inf
-    # greedwork: ignore[GW107] -- deliberately bounded spot check:
-    # users_per_class members of each of K classes, never O(N); this
-    # is the expansion certificate the class-space solver ships with.
+    # Deliberately bounded spot check: users_per_class members of each
+    # of K classes, never O(N); this is the expansion certificate the
+    # class-space solver ships with.
     for k, utility in enumerate(utilities):
         for j in range(min(int(users_per_class), int(m[k]))):
             gain = utility_improvement(allocation, utility, expanded,

@@ -303,9 +303,9 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
         dep_times: List[float] = []
         dep_users: List[int] = []
 
-        # greedwork: ignore[GW503] -- kernel-less fallback of the
-        # sharded switch engine; the chunked path is the hot one, and
-        # this loop pins the injected-arrival event order it must match.
+        # Kernel-less fallback of the sharded switch engine; the chunked
+        # path is the hot one, and this loop pins the injected-arrival
+        # event order it must match.
         while True:
             next_arrival, user = arrivals_heap[0]
             injected = (pos < n_inj

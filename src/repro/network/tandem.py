@@ -134,9 +134,9 @@ def simulate_tandem(config: TandemConfig) -> TandemResult:
         completion[hop] = (now + float(rng.exponential(1.0 / mu[hop]))
                            if len(hops[hop]) > 0 else math.inf)
 
-    # greedwork: ignore[GW503] -- golden-tested two-hop toy engine
-    # predating the chunked kernels; the sharded switch-graph engine
-    # (repro.network.sharded) is the chunked-era replacement.
+    # Golden-tested two-hop toy engine predating the chunked kernels;
+    # the sharded switch-graph engine (repro.network.sharded) is the
+    # chunked-era replacement.
     while True:
         next_arrival = arrivals_heap[0][0]
         next_event = min(next_arrival, completion[0], completion[1])

@@ -193,8 +193,8 @@ class VariateStream:
         if n < 0:
             raise SimulationError(f"cannot take {n} variates")
         out = np.empty(n)
-        # greedwork: ignore[GW503] -- test/diagnostic accessor, not an
-        # engine hot path; the chunked engine uses peek_block/consume.
+        # Test/diagnostic accessor, not an engine hot path; the chunked
+        # engine uses peek_block/consume.
         for k in range(n):
             out[k] = self.draw()
         return out

@@ -466,10 +466,10 @@ class SimulationEngine:
         n_departures = self.n_departures
         events_before = n_arrivals + n_departures
 
-        # greedwork: ignore[GW503] -- the scalar reference backend:
-        # this loop *defines* the event order and draw order that the
-        # chunked kernels are golden-tested against, so it stays in
-        # per-event form on purpose.
+        # The scalar reference backend: this loop *defines* the event
+        # order and draw order that the chunked kernels are
+        # golden-tested against, so it stays in per-event form on
+        # purpose.
         while True:
             next_arrival = arrivals_heap[0][0]
             if next_arrival >= horizon and next_completion >= horizon:

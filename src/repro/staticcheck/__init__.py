@@ -23,12 +23,9 @@ table, import graph, approximate call graph):
            ``np.random.default_rng``; randomness enters through
            ``Generator`` parameters or :func:`repro.numerics.default_rng`.
 ``GW004``  float equality — ``==``/``!=`` against float expressions
-           must go through :mod:`repro.numerics.tolerances`.
+           in repro modules must go through
+           :mod:`repro.numerics.tolerances`.
 ``GW005``  hygiene — mutable default arguments and shadowed builtins.
-``GW101``  no Python-level loops over numpy arrays in repro modules.
-``GW102``  no loop-invariant pure calls recomputed per iteration.
-``GW103``  no list-membership tests inside loops (quadratic).
-``GW104``  no ``np.append`` / loop-carried array concatenation.
 ``GW201``  division by ``1 - x`` requires a dominating feasibility
            guard on every path (the M/M/1 pole at ``x -> 1``).
 ``GW202``  ``log``/``sqrt`` of possibly-negative subtractions require
@@ -46,17 +43,6 @@ next statement line).  Runs are incremental (content-hash cache under
 (``--baseline``/``--update-baseline``), and exportable as SARIF 2.1.0
 for GitHub code scanning (``--format sarif``).  Run it as
 ``greedwork check`` or programmatically via :func:`run_checks`.
-
-The suite is not detect-only: ``greedwork fix`` (programmatically
-:func:`run_fix`) applies registered autofixers for the mechanical
-families — GW003 raw-RNG construction, GW004 float equality, GW005
-mutable defaults, GW106 fixed-horizon ``simulate()``, GW301 dead
-public API — through a transactional engine that re-runs the full
-rule suite on every patched file and rolls back any fix that fails
-to eliminate its finding or introduces a new one (see
-:mod:`repro.staticcheck.fixers`).  Suppressed findings are never
-auto-fixed; baselined ones are, and their entries are pruned from
-the baseline on success.
 """
 
 from repro.staticcheck.baseline import (
@@ -84,7 +70,6 @@ from repro.staticcheck.core import (
 )
 from repro.staticcheck.project import ModuleInfo, ProjectContext, Symbol
 from repro.staticcheck.reporters import (
-    render_fix_text,
     render_json,
     render_sarif,
     render_stats,
@@ -95,31 +80,13 @@ from repro.staticcheck.runner import (
     collect_files,
     run_checks,
 )
-from repro.staticcheck.baseline import prune_baseline
-from repro.staticcheck.fixers import (
-    AppliedFix,
-    Edit,
-    Fix,
-    Fixer,
-    FixResult,
-    all_fixers,
-    fixable_rule_ids,
-    fixer_for,
-    register_fixer,
-    run_fix,
-)
 
 __all__ = [
-    "AppliedFix",
     "CACHE_DIR_NAME",
     "CheckCache",
     "CheckResult",
     "CheckUsageError",
     "DEFAULT_BASELINE_NAME",
-    "Edit",
-    "Fix",
-    "FixResult",
-    "Fixer",
     "FileContext",
     "Finding",
     "ModuleInfo",
@@ -127,26 +94,19 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "Symbol",
-    "all_fixers",
     "all_rules",
     "apply_baseline",
     "collect_files",
     "engine_signature",
     "file_digest",
-    "fixable_rule_ids",
-    "fixer_for",
     "get_rule",
     "load_baseline",
-    "prune_baseline",
-    "register_fixer",
     "register_rule",
-    "render_fix_text",
     "render_json",
     "render_sarif",
     "render_stats",
     "render_text",
     "run_checks",
-    "run_fix",
     "select_rules",
     "write_baseline",
 ]

@@ -55,37 +55,6 @@ def write_baseline(path: Union[str, Path],
                           encoding="utf-8")
 
 
-def prune_baseline(path: Union[str, Path],
-                   findings: Sequence[Finding]) -> int:
-    """Drop accepted counts no current finding backs; return #dropped.
-
-    The fix engine calls this after rewriting files so that repaired
-    findings *leave* the baseline instead of lingering as phantom
-    allowances a future regression could silently consume.  Counts are
-    clamped to the current occurrence count per fingerprint (never
-    raised), and the file is rewritten only when something changed.
-    """
-    baseline_path = Path(path)
-    accepted = load_baseline(baseline_path)
-    current: Dict[str, int] = {}
-    for finding in findings:
-        fp = finding.fingerprint()
-        current[fp] = current.get(fp, 0) + 1
-    kept: Dict[str, int] = {}
-    dropped = 0
-    for fp, count in accepted.items():
-        remaining = min(count, current.get(fp, 0))
-        if remaining:
-            kept[fp] = remaining
-        dropped += count - remaining
-    if dropped:
-        payload = {"version": BASELINE_SCHEMA_VERSION,
-                   "entries": dict(sorted(kept.items()))}
-        baseline_path.write_text(json.dumps(payload, indent=2) + "\n",
-                                 encoding="utf-8")
-    return dropped
-
-
 def apply_baseline(findings: Sequence[Finding],
                    accepted: Dict[str, int]
                    ) -> Tuple[List[Finding], List[Finding]]:

@@ -157,21 +157,6 @@ class CheckCache:
         self._project["digest"] = digest
         self._dirty = True
 
-    # -- invalidation (the fix engine rewrites files in place) --------------
-
-    def invalidate_file(self, display_path: str) -> None:
-        """Drop one file's entry (its content is about to change)."""
-        if self._files.pop(display_path, None) is not None:
-            self._dirty = True
-
-    def invalidate_project(self) -> None:
-        """Drop the whole-program entry (any rewrite changes the
-        project digest, and stale project findings must never be
-        served against the patched tree)."""
-        if self._project:
-            self._project = {}
-            self._dirty = True
-
     # -- persistence --------------------------------------------------------
 
     def save(self) -> None:

@@ -247,8 +247,8 @@ def select_rules(rules: Iterable[Rule],
     """Filter rules by id or family prefix.
 
     A selector matches a rule when the rule id starts with it, so
-    ``GW1`` (or ``GW1xx``) selects the whole perf family while
-    ``GW101`` selects one rule.  ``ignore`` wins over ``select``.
+    ``GW2`` (or ``GW2xx``) selects the whole numerics family while
+    ``GW201`` selects one rule.  ``ignore`` wins over ``select``.
     Unknown selectors raise ``KeyError`` so typos fail loudly.
     """
     def normalize(tokens: Optional[Iterable[str]]) -> List[str]:

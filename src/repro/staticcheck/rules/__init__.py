@@ -5,14 +5,6 @@ from repro.staticcheck.rules.contracts import DisciplineContractRule
 from repro.staticcheck.rules.rng import RNGDisciplineRule
 from repro.staticcheck.rules.floats import FloatEqualityRule
 from repro.staticcheck.rules.hygiene import HygieneRule
-from repro.staticcheck.rules.perf import (
-    ArrayGrowthRule,
-    DevectorizedLoopRule,
-    FixedHorizonSimulateRule,
-    LoopInvariantCallRule,
-    QuadraticMembershipRule,
-    ScalarCandidateScanRule,
-)
 from repro.staticcheck.rules.numerical import (
     UnguardedDomainCallRule,
     UnguardedPoleDivisionRule,
@@ -42,12 +34,6 @@ __all__ = [
     "RNGDisciplineRule",
     "FloatEqualityRule",
     "HygieneRule",
-    "DevectorizedLoopRule",
-    "LoopInvariantCallRule",
-    "QuadraticMembershipRule",
-    "ArrayGrowthRule",
-    "ScalarCandidateScanRule",
-    "FixedHorizonSimulateRule",
     "UnguardedPoleDivisionRule",
     "UnguardedDomainCallRule",
     "DeadPublicAPIRule",

@@ -177,90 +177,6 @@ class VariateContractRule(Rule):
 
 #: Heap operations that advance a discrete-event loop one event at a
 #: time (either the bare name or the last attribute segment).
-_HEAP_OPS = frozenset({"heappop", "heappush"})
-
-#: Per-event measurement / policy calls: one of these paired with a
-#: heap operation in the same loop body is the signature of a scalar
-#: DES event loop.
-_EVENT_CALLS = frozenset({"advance", "on_arrival", "on_departure",
-                          "complete"})
-
-
-@register_rule
-class PerEventLoopRule(Rule):
-    """Per-event Python loops in engine hot paths (GW503).
-
-    Rationale:
-        The chunked backend (:mod:`repro.sim.chunked`) exists because a
-        Python loop that pops one heap event at a time tops out around
-        a hundred thousand events per second per policy call overheads,
-        an order of magnitude under the compiled chunk kernels.  A new
-        per-event loop in the ``sim``/``network`` layers silently
-        reintroduces that ceiling — and, worse, defines *another* event
-        order that the bit-identity contract then has to track.  New
-        engine code should either reuse
-        :class:`~repro.sim.chunked.ChunkedSimulationEngine` or consume
-        variates in blocks (``buffered``/``peek_block``/``consume``).
-
-    Example::
-
-        while True:
-            event_time, user = heapq.heappop(heap)
-            tracker.advance(event_time)
-            ...
-
-        for k in range(n):          # one stream draw per iteration
-            out[k] = stream.draw()
-
-    Fix:
-        Route the workload through the chunked engine, or batch the
-        draws (``VariateStream.peek_block``/``consume``).  The pinned
-        reference loops — the scalar backend that *defines* the
-        bit-identity contract, and legacy golden-tested engines — may
-        suppress with a reason: ``# greedwork: ignore[GW503] -- <why>``.
-    """
-
-    rule_id = "GW503"
-    name = "chunked-hot-path"
-    description = ("per-event Python loops (heap pop + per-event "
-                   "measurement, or one stream draw per iteration) in "
-                   "sim/network modules forgo the chunked kernels")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.tree is None \
-                or not _in_scope(ctx.module, _ENGINE_PREFIXES):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.For, ast.While)):
-                continue
-            heap_ops = False
-            event_calls = False
-            draw_calls = False
-            for sub in ast.walk(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                dotted = _call_dotted(sub)
-                last = dotted.split(".")[-1] if dotted else ""
-                if last in _HEAP_OPS:
-                    heap_ops = True
-                elif last in _EVENT_CALLS:
-                    event_calls = True
-                elif last == "draw":
-                    draw_calls = True
-            if heap_ops and event_calls:
-                yield self.finding(
-                    ctx, node,
-                    "per-event loop (heap operation plus per-event "
-                    "measurement call) bypasses the chunked kernels; "
-                    "use ChunkedSimulationEngine or batch the events")
-            elif draw_calls:
-                yield self.finding(
-                    ctx, node,
-                    "one VariateStream.draw per loop iteration; "
-                    "consume variates in blocks "
-                    "(peek_block/consume) instead")
-
-
 @register_rule
 class OrderedAggregationRule(Rule):
     """No hash-order or wall-clock inputs to numerics (GW502).

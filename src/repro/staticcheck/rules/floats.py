@@ -16,6 +16,10 @@ Comparisons against ``math.inf``/``np.inf``/``nan`` checks are *not*
 flagged — equality with infinities is exact, and NaN handling has its
 own idioms (``math.isnan``).  Chained comparisons are examined
 pairwise.
+
+Only ``repro.*`` modules are in scope.  Tests, benchmarks and examples
+compare floats exactly on purpose: a pinned golden or an exact
+closed-form value *is* the contract under test there.
 """
 
 from __future__ import annotations
@@ -80,11 +84,14 @@ class FloatEqualityRule(Rule):
 
     rule_id = "GW004"
     name = "float-equality"
-    description = ("== / != against float expressions must go through "
-                   "repro.numerics.tolerances (isclose/is_zero or a "
-                   "named tolerance constant)")
+    description = ("== / != against float expressions in repro modules "
+                   "must go through repro.numerics.tolerances "
+                   "(isclose/is_zero or a named tolerance constant)")
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
+        if ctx.tree is None or ctx.module is None \
+                or not ctx.module.startswith("repro"):
+            return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue

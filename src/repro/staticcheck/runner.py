@@ -98,7 +98,7 @@ def _read_error_finding(path: Path, root: Path, exc: Exception) -> Finding:
                    line=1, col=1, message=f"cannot read file: {exc}")
 
 
-def reference_sources(root: Path, reference_roots: Sequence[str],
+def _reference_sources(root: Path, reference_roots: Sequence[str],
                       analyzed_resolved: Iterable[Path]
                       ) -> Dict[Path, str]:
     """Sources of reference-only files for whole-program rules.
@@ -106,9 +106,7 @@ def reference_sources(root: Path, reference_roots: Sequence[str],
     Scans each ``reference_roots`` subdirectory of ``root`` for
     ``.py`` files not already in ``analyzed_resolved`` (resolved
     paths), skipping build/VCS internals; unreadable files are
-    silently dropped (reference context is best-effort).  Shared by
-    :func:`run_checks` and the fix engine so both see the same
-    whole-program scope.
+    silently dropped (reference context is best-effort).
     """
     analyzed = set(analyzed_resolved)
     out: Dict[Path, str] = {}
@@ -288,7 +286,7 @@ def run_checks(paths: Sequence[Union[str, Path]],
 
     # -- 4. project rules ---------------------------------------------------
     if project_rules:
-        reference = reference_sources(root, reference_roots,
+        reference = _reference_sources(root, reference_roots,
                                       (p.resolve() for p in sources))
         scope_hashes = dict(hashes)
         for path, source in reference.items():

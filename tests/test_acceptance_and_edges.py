@@ -111,7 +111,6 @@ class TestOverloadBranches:
         assert math.isinf(jac[2, 2])
         # Insularity survives overload: the small user's row stays 0
         # toward bigger users.
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert jac[0, 1] == 0.0 and jac[0, 2] == 0.0
 
     def test_fs_own_derivative_overload(self):

@@ -150,10 +150,10 @@ class TestVariateStream:
                                block_size=8)
         draws = stream.take(100)
         # 1/4 is exact in binary; the gap must be it, not near it.
-        assert np.all(draws == 0.25)  # greedwork: ignore[GW004]
+        assert np.all(draws == 0.25)
         # The stream never touched its generator: it still agrees with
         # a fresh generator from the same seed (bit-exact on purpose).
-        assert generator.random() == default_rng(3).random()  # greedwork: ignore[GW004]
+        assert generator.random() == default_rng(3).random()
 
     def test_hyper_default_block_golden(self):
         """Hyperexponential draws follow the documented block recipe."""

@@ -31,7 +31,7 @@ from repro.game.classes import (
 )
 from repro.game.best_response import best_response
 from repro.game.nash import find_all_nash, solve_nash, solve_nash_fdc
-from repro.numerics.instrumentation import set_vectorized
+from repro.numerics.instrumentation import set_vectorized, track_solver
 from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
 
@@ -163,6 +163,35 @@ class TestExactAgreement:
         assert result.n_users == 1000
         assert result.max_gain <= 1e-8
         assert result.spot_gain <= 1e-8
+
+
+class TestClassSpaceCost:
+    def test_solver_work_does_not_grow_with_n(self):
+        """The class-space solve is O(K), not O(N).
+
+        The seeded iteration plus the FDC polish at N=10^4 may not
+        spend more objective, congestion or grid evaluations than at
+        N=10^3 (the counts even fall: 27,644 vs 31,592 objective
+        evaluations, 756 vs 864 grid calls).  A per-user loop in
+        ``repro.game.classes`` or ``repro.game.meanfield`` would make
+        them scale with N.
+        """
+        fs = make_discipline("fair-share")
+        work = {}
+        for n in (1_000, 10_000):
+            utilities, counts = class_setup(n, 4)
+            with track_solver() as counters:
+                seeded = solve_nash_classes(fs, utilities, counts=counts,
+                                            tol=1e-9, max_iter=300)
+                result = solve_nash_classes_fdc(fs, utilities,
+                                                counts=counts,
+                                                r0=seeded.class_rates)
+            assert result.converged
+            work[n] = counters
+        for field in ("objective_evals", "congestion_evals",
+                      "grid_calls"):
+            assert getattr(work[10_000], field) \
+                <= getattr(work[1_000], field), field
 
 
 class TestClassBestResponse:

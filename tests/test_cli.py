@@ -126,40 +126,20 @@ class TestExplainCatalog:
         for rule in all_rules():
             assert rule.rule_id in out
 
-    def test_catalog_marks_fixable_rules_and_families(self, capsys):
+    def test_catalog_marks_families(self, capsys):
         main(["explain"])
         lines = capsys.readouterr().out.splitlines()
         by_id = {line.split()[0]: line for line in lines if line}
-        assert "fixable" in by_id["GW003"]
         assert "contracts" in by_id["GW003"]
-        assert "fixable" not in by_id["GW101"]
-        assert "perf" in by_id["GW101"]
+        assert "numerics" in by_id["GW201"]
         assert "parallel-safety" in by_id["GW601"]
 
 
-class TestFix:
-    def test_fix_rewrites_and_reports(self, tmp_path, capsys, monkeypatch):
-        mod = tmp_path / "mod.py"
-        mod.write_text("import numpy as np\n"
-                       "\n"
-                       "rng = np.random.default_rng(3)\n")
-        monkeypatch.chdir(tmp_path)
-        code = main(["fix", str(mod), "--diff", "--no-cache"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "GW003 [fixed]" in out
-        assert "-rng = np.random.default_rng(3)" in out
-        assert "from repro.numerics.rng import default_rng" \
-            in mod.read_text()
-
-    def test_dry_run_leaves_the_file_alone(self, tmp_path, capsys,
-                                           monkeypatch):
-        mod = tmp_path / "mod.py"
-        before = "import numpy as np\n\nrng = np.random.default_rng(3)\n"
-        mod.write_text(before)
-        monkeypatch.chdir(tmp_path)
-        code = main(["fix", str(mod), "--dry-run", "--no-cache"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "[dry run: nothing written]" in out
-        assert mod.read_text() == before
+class TestNoFixEngine:
+    @pytest.mark.parametrize("argv", [["fix", "src"],
+                                      ["check", "--fix", "src"],
+                                      ["check", "--diff", "src"]])
+    def test_fix_surface_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2

@@ -7,6 +7,7 @@ visible.  The heavier closed-loop ones are marked slow.
 
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,10 @@ class TestExamplesRun:
 
     @pytest.mark.slow
     def test_ftp_vs_telnet(self, capsys):
-        load_example("ftp_vs_telnet").main()
+        """A flow with zero throughput gets no 0/0 delay."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            load_example("ftp_vs_telnet").main()
         out = capsys.readouterr().out
         assert "telnet mean delay" in out
 

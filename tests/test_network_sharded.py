@@ -130,9 +130,8 @@ class TestPhysics:
         result = simulate_sharded(graph_config())
         # User 0 sources at switch 0 and relays through switch 1.
         assert result.mean_queues[1, 0] > 0.0
-        # greedwork: ignore[GW004] -- structural zero, not a computed
-        # float: user 2's route never crosses switch 0, so its tracker
-        # column is never touched.
+        # Structural zero, not a computed float: user 2's route never
+        # crosses switch 0, so its tracker column is never touched.
         assert result.mean_queues[0, 2] == 0.0
 
     def test_flow_conservation_per_hop(self):

@@ -64,7 +64,6 @@ class TestDampedFixedPoint:
                                     record=True)
         assert result.history is not None
         assert result.history.shape[0] >= 2
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert result.history[0][0] == 4.0
 
     def test_history_not_recorded_by_default(self):

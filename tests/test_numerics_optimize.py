@@ -51,7 +51,6 @@ class TestSafetyWrapping:
     def test_inf_objective(self):
         result = multistart_maximize(
             lambda x: -math.inf if x < 0.9 else 1.0, 0.0, 1.0)
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert result.value == 1.0
 
 
@@ -78,7 +77,6 @@ class TestMultistart:
 
 class TestArgmaxOnGrid:
     def test_basic(self):
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert argmax_on_grid(lambda x: -(x - 2.0) ** 2,
                               [0.0, 1.0, 2.0, 3.0]) == 2.0
 
@@ -87,5 +85,4 @@ class TestArgmaxOnGrid:
             argmax_on_grid(lambda x: x, [])
 
     def test_tie_goes_to_first(self):
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert argmax_on_grid(lambda x: 0.0, [5.0, 6.0]) == 5.0

@@ -49,9 +49,7 @@ class TestAllocation:
 
     def test_no_coupling(self):
         jac = self.alloc.jacobian(np.array([0.5, 2.0]))
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert jac[0, 1] == 0.0
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert jac[1, 0] == 0.0
         assert jac[0, 0] == pytest.approx(1.0)
 
@@ -71,9 +69,7 @@ class TestAllocation:
         assert np.isinf(self.alloc.curve.capacity)
 
     def test_second_derivatives(self):
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert self.alloc.own_second_derivative([1.0], 0) == 2.0
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert self.alloc.mixed_second_derivative([1.0, 1.0], 0, 1) == 0.0
 
 

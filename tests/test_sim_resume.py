@@ -99,7 +99,6 @@ class TestResumeEquivalence:
         state = engine.snapshot()
         assert isinstance(state, EngineState)
         assert state.engine_version == ENGINE_VERSION
-        # greedwork: ignore[GW004] -- the recorded horizon is exact
         assert state.horizon == 2000.0
         assert math.isfinite(state.now)
 

@@ -7,8 +7,11 @@ full suite over the real ``src/`` tree and asserts it is clean — the
 same gate CI applies via ``greedwork check``.
 """
 
+import io
 import json
+import re
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,7 @@ from repro.staticcheck import (
     select_rules,
     write_baseline,
 )
-from repro.staticcheck.core import module_name_for
+from repro.staticcheck.core import ALL_RULES, module_name_for
 from repro.staticcheck.rules.layers import package_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -37,11 +40,10 @@ SARIF_SUBSET_SCHEMA = (Path(__file__).resolve().parent / "data"
 
 ALL_RULE_IDS = [
     "GW001", "GW002", "GW003", "GW004", "GW005",
-    "GW101", "GW102", "GW103", "GW104", "GW105", "GW106", "GW107",
     "GW201", "GW202",
     "GW301", "GW302",
     "GW401", "GW402", "GW403",
-    "GW501", "GW502", "GW503",
+    "GW501", "GW502",
     "GW601", "GW602", "GW604",
 ]
 
@@ -150,20 +152,17 @@ class TestFramework:
             collect_files([notes])
 
     def test_select_rules_by_family_prefix(self):
-        rules = select_rules(all_rules(), select=["GW1"])
-        assert [r.rule_id for r in rules] == \
-            ["GW101", "GW102", "GW103", "GW104", "GW105", "GW106",
-             "GW107"]
+        rules = select_rules(all_rules(), select=["GW4"])
+        assert [r.rule_id for r in rules] == ["GW401", "GW402", "GW403"]
 
     def test_select_rules_normalizes_family_suffix(self):
         rules = select_rules(all_rules(), select=["GW2xx"])
         assert [r.rule_id for r in rules] == ["GW201", "GW202"]
 
     def test_select_rules_ignore_wins(self):
-        rules = select_rules(all_rules(), select=["GW1"],
-                             ignore=["GW103"])
-        assert [r.rule_id for r in rules] == ["GW101", "GW102", "GW104",
-                                             "GW105", "GW106", "GW107"]
+        rules = select_rules(all_rules(), select=["GW4"],
+                             ignore=["GW402"])
+        assert [r.rule_id for r in rules] == ["GW401", "GW403"]
 
     def test_select_rules_unknown_selector_raises(self):
         with pytest.raises(KeyError):
@@ -519,10 +518,11 @@ class TestRNGDiscipline:
 
 
 class TestFloatEquality:
-    """GW004."""
+    """GW004 — fixtures live under ``src/repro/`` (the rule is gated
+    on ``repro.*`` modules)."""
 
     def test_isclose_passes(self, tmp_path):
-        path = write_module(tmp_path, "ok.py", """\
+        path = write_module(tmp_path, "src/repro/analysis/ok.py", """\
             import math
 
             from repro.numerics.tolerances import is_zero, isclose
@@ -534,7 +534,7 @@ class TestFloatEquality:
         assert findings_for(path, "GW004").findings == []
 
     def test_float_literal_equality_fails(self, tmp_path):
-        path = write_module(tmp_path, "bad.py", """\
+        path = write_module(tmp_path, "src/repro/analysis/bad.py", """\
             def f(total):
                 if total == 0.0:
                     return None
@@ -545,21 +545,21 @@ class TestFloatEquality:
         assert all(f.rule_id == "GW004" for f in result.findings)
 
     def test_arithmetic_over_float_literal_fails(self, tmp_path):
-        path = write_module(tmp_path, "bad2.py", """\
+        path = write_module(tmp_path, "src/repro/analysis/bad2.py", """\
             def f(rho, x):
                 return x == 1.0 - rho
         """)
         assert len(findings_for(path, "GW004").findings) == 1
 
     def test_float_call_fails(self, tmp_path):
-        path = write_module(tmp_path, "bad3.py", """\
+        path = write_module(tmp_path, "src/repro/analysis/bad3.py", """\
             def f(x, y):
                 return float(x) == y
         """)
         assert len(findings_for(path, "GW004").findings) == 1
 
     def test_infinity_comparison_allowed(self, tmp_path):
-        path = write_module(tmp_path, "ok2.py", """\
+        path = write_module(tmp_path, "src/repro/analysis/ok2.py", """\
             import math
 
 
@@ -569,20 +569,27 @@ class TestFloatEquality:
         assert findings_for(path, "GW004").findings == []
 
     def test_integer_equality_allowed(self, tmp_path):
-        path = write_module(tmp_path, "ok3.py", """\
+        path = write_module(tmp_path, "src/repro/analysis/ok3.py", """\
             def f(n):
                 return n == 0 or n != 10
         """)
         assert findings_for(path, "GW004").findings == []
 
     def test_suppressible(self, tmp_path):
-        path = write_module(tmp_path, "meh.py", """\
+        path = write_module(tmp_path, "src/repro/analysis/meh.py", """\
             def f(total):
                 return total == 0.0  # greedwork: ignore[GW004]
         """)
         result = findings_for(path, "GW004")
         assert result.findings == []
         assert len(result.suppressed) == 1
+
+    def test_non_repro_module_out_of_scope(self, tmp_path):
+        path = write_module(tmp_path, "tests/test_golden.py", """\
+            def test_pinned():
+                assert 0.5 + 0.25 == 0.75
+        """)
+        assert findings_for(path, "GW004").findings == []
 
 
 class TestHygiene:
@@ -642,622 +649,6 @@ class TestHygiene:
                 return cache
         """)
         result = findings_for(path, "GW005")
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
-class TestDevectorizedLoop:
-    """GW101 — fixtures live under ``src/repro/`` (the rule is gated
-    on repro modules; tests and examples may stay scalar)."""
-
-    def test_vectorized_code_passes(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/ok.py", """\
-            import numpy as np
-
-
-            def total_queue(rates):
-                loads = np.asarray(rates, dtype=float)
-                return float(np.sum(loads / (1.0 + loads)))
-        """)
-        assert findings_for(path, "GW101").findings == []
-
-    def test_direct_iteration_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad.py", """\
-            import numpy as np
-
-
-            def total(rates):
-                out = 0.0
-                for r in np.asarray(rates, dtype=float):
-                    out += r
-                return out
-        """)
-        result = findings_for(path, "GW101")
-        assert len(result.findings) == 1
-        assert result.findings[0].line == 6
-        assert "numpy array" in result.findings[0].message
-
-    def test_range_len_indexing_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad2.py", """\
-            import numpy as np
-
-
-            def diffs(n):
-                arr = np.linspace(0.0, 1.0, n)
-                out = []
-                for i in range(len(arr) - 1):
-                    out.append(arr[i + 1] - arr[i])
-                return out
-        """)
-        assert len(findings_for(path, "GW101").findings) == 1
-
-    def test_enumerate_over_array_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad3.py", """\
-            import numpy as np
-
-
-            def label(rates):
-                arr = np.asarray(rates)
-                for i, r in enumerate(arr):
-                    yield i, r
-        """)
-        assert len(findings_for(path, "GW101").findings) == 1
-
-    def test_tolist_is_the_deliberate_scalar_marker(self, tmp_path):
-        # .tolist() converts to Python scalars: the documented idiom
-        # for loops that must stay scalar (ragged per-item work).
-        path = write_module(tmp_path, "src/repro/sim/ok2.py", """\
-            import numpy as np
-
-
-            def rows(rates):
-                for r in np.asarray(rates, dtype=float).tolist():
-                    yield f"{r:.3f}"
-        """)
-        assert findings_for(path, "GW101").findings == []
-
-    def test_non_repro_module_not_flagged(self, tmp_path):
-        path = write_module(tmp_path, "scripts/helper.py", """\
-            import numpy as np
-
-            for r in np.zeros(4):
-                print(r)
-        """)
-        assert findings_for(path, "GW101").findings == []
-
-    def test_suppressible(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/meh.py", """\
-            import numpy as np
-
-
-            def emit(rates):
-                arr = np.asarray(rates)
-                # greedwork: ignore[GW101] -- per-row formatting is scalar
-                for r in arr:
-                    print(r)
-        """)
-        result = findings_for(path, "GW101")
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
-class TestLoopInvariantCall:
-    """GW102."""
-
-    def test_varying_arguments_pass(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/ok.py", """\
-            import math
-
-
-            def decay(xs):
-                out = []
-                for x in xs:
-                    out.append(math.exp(-x))
-                return out
-        """)
-        assert findings_for(path, "GW102").findings == []
-
-    def test_invariant_math_call_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad.py", """\
-            import math
-
-
-            def scale(xs, t):
-                out = []
-                for x in xs:
-                    out.append(x * math.exp(t))
-                return out
-        """)
-        result = findings_for(path, "GW102")
-        assert len(result.findings) == 1
-        assert "math.exp(...)" in result.findings[0].message
-        assert "hoist" in result.findings[0].message
-
-    def test_invariant_domain_method_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad2.py", """\
-            def sweep(curve, total, xs):
-                out = []
-                for x in xs:
-                    out.append(x + curve.value(total))
-                return out
-        """)
-        assert len(findings_for(path, "GW102").findings) == 1
-
-    def test_hoisted_call_passes(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/ok2.py", """\
-            import math
-
-
-            def scale(xs, t):
-                factor = math.exp(t)
-                out = []
-                for x in xs:
-                    out.append(x * factor)
-                return out
-        """)
-        assert findings_for(path, "GW102").findings == []
-
-    def test_rng_named_call_is_not_invariant(self, tmp_path):
-        # Same arguments, different results: stateful generators must
-        # never be hoisted, whatever their arguments do.
-        path = write_module(tmp_path, "src/repro/sim/ok3.py", """\
-            def draws(rng, n, trials):
-                out = []
-                for _ in range(trials):
-                    out.append(rng.sample(n))
-                return out
-        """)
-        assert findings_for(path, "GW102").findings == []
-
-    def test_variate_stream_calls_are_not_invariant(self, tmp_path):
-        # The event engine's batched-refill idiom: a stream advances
-        # its cursor on every call, so stream.draw()/take() (and pure-
-        # looking methods on a stream receiver) must never be hoisted.
-        path = write_module(tmp_path, "src/repro/sim/ok5.py", """\
-            def drain(stream, horizon):
-                clock = 0.0
-                ticks = 0
-                while clock < horizon:
-                    clock += stream.draw()
-                    ticks += 1
-                return ticks
-
-
-            def refill_blocks(variate_stream, n_blocks, size):
-                out = []
-                for _ in range(n_blocks):
-                    out.append(variate_stream.take(size))
-                return out
-
-
-            def stream_receiver(arrival_stream, total, xs):
-                out = []
-                for x in xs:
-                    out.append(x + arrival_stream.value(total))
-                return out
-        """)
-        assert findings_for(path, "GW102").findings == []
-
-    def test_stream_exemption_does_not_mask_real_invariants(self,
-                                                            tmp_path):
-        # The stream carve-out is name-based; an invariant pure call
-        # sitting next to stream traffic is still flagged.
-        path = write_module(tmp_path, "src/repro/sim/bad3.py", """\
-            import math
-
-
-            def drain(stream, horizon, t):
-                clock = 0.0
-                total = 0.0
-                while clock < horizon:
-                    clock += stream.draw()
-                    total += math.exp(t)
-                return total
-        """)
-        result = findings_for(path, "GW102")
-        assert len(result.findings) == 1
-        assert "math.exp(...)" in result.findings[0].message
-
-    def test_mutated_receiver_is_not_invariant(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/ok4.py", """\
-            import numpy as np
-
-
-            def trail(xs):
-                acc = []
-                out = []
-                for x in xs:
-                    acc.append(x)
-                    out.append(np.asarray(acc))
-                return out
-        """)
-        assert findings_for(path, "GW102").findings == []
-
-    def test_suppressible(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/meh.py", """\
-            import math
-
-
-            def f(xs, t):
-                out = []
-                for x in xs:
-                    out.append(x * math.exp(t))  # greedwork: ignore[GW102]
-                return out
-        """)
-        result = findings_for(path, "GW102")
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
-class TestQuadraticMembership:
-    """GW103."""
-
-    def test_set_membership_passes(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/ok.py", """\
-            def count(items, keys):
-                allowed = set(keys)
-                hits = 0
-                for item in items:
-                    if item in allowed:
-                        hits += 1
-                return hits
-        """)
-        assert findings_for(path, "GW103").findings == []
-
-    def test_list_membership_in_loop_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad.py", """\
-            def count(items, keys):
-                allowed = list(keys)
-                hits = 0
-                for item in items:
-                    if item in allowed:
-                        hits += 1
-                return hits
-        """)
-        result = findings_for(path, "GW103")
-        assert len(result.findings) == 1
-        assert "quadratic" in result.findings[0].message
-
-    def test_literal_list_membership_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad2.py", """\
-            def tally(names):
-                hits = 0
-                for name in names:
-                    if name in ["fifo", "fair-share", "fair-queue"]:
-                        hits += 1
-                return hits
-        """)
-        assert len(findings_for(path, "GW103").findings) == 1
-
-    def test_membership_outside_loop_passes(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/ok2.py", """\
-            def once(item, keys):
-                allowed = list(keys)
-                return item in allowed
-        """)
-        assert findings_for(path, "GW103").findings == []
-
-    def test_suppressible(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/meh.py", """\
-            def f(items):
-                allowed = list(items)
-                for item in items:
-                    if item in allowed:  # greedwork: ignore[GW103]
-                        return item
-        """)
-        result = findings_for(path, "GW103")
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
-class TestArrayGrowth:
-    """GW104."""
-
-    def test_collect_then_convert_passes(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/ok.py", """\
-            import numpy as np
-
-
-            def collect(chunks):
-                parts = []
-                for chunk in chunks:
-                    parts.append(chunk)
-                return np.concatenate(parts)
-        """)
-        assert findings_for(path, "GW104").findings == []
-
-    def test_np_append_fails_anywhere(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad.py", """\
-            import numpy as np
-
-
-            def extend(arr, x):
-                return np.append(arr, x)
-        """)
-        result = findings_for(path, "GW104")
-        assert len(result.findings) == 1
-        assert "np.append" in result.findings[0].message
-
-    def test_loop_carried_concatenate_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/bad2.py", """\
-            import numpy as np
-
-
-            def gather(chunks):
-                out = np.zeros(0)
-                for chunk in chunks:
-                    out = np.concatenate((out, chunk))
-                return out
-        """)
-        result = findings_for(path, "GW104")
-        assert len(result.findings) == 1
-        assert "'out'" in result.findings[0].message
-
-    def test_fresh_concatenate_in_loop_passes(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/ok2.py", """\
-            import numpy as np
-
-
-            def pairs(chunks, tail):
-                out = []
-                for chunk in chunks:
-                    joined = np.concatenate((chunk, tail))
-                    out.append(joined)
-                return out
-        """)
-        assert findings_for(path, "GW104").findings == []
-
-    def test_suppressible(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/meh.py", """\
-            import numpy as np
-
-
-            def extend(arr, x):
-                return np.append(arr, x)  # greedwork: ignore[GW104]
-        """)
-        result = findings_for(path, "GW104")
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
-class TestScalarCandidateScan:
-    """GW105."""
-
-    def test_candidate_scan_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/game/bad.py", """\
-            import numpy as np
-
-
-            def scan(allocation, rates, i, xs):
-                base = np.array(rates, dtype=float)
-                out = np.empty(len(xs))
-                for k, x in enumerate(xs):
-                    base[i] = x
-                    out[k] = allocation.congestion_i(base, i)
-                return out
-        """)
-        result = findings_for(path, "GW105")
-        assert len(result.findings) == 1
-        assert "congestion_grid" in result.findings[0].message
-
-    def test_per_user_sweep_passes(self, tmp_path):
-        # Gauss-Seidel style: the *user index* is the loop variable, so
-        # no single congestion_grid call covers the iterations.
-        path = write_module(tmp_path, "src/repro/game/ok.py", """\
-            import numpy as np
-
-
-            def sweep(allocation, rates):
-                r = np.asarray(rates, dtype=float).copy()
-                for i in range(r.size):
-                    r[i] = r[i] + allocation.congestion_i(r, i)
-                return r
-        """)
-        assert findings_for(path, "GW105").findings == []
-
-    def test_rebound_vector_passes(self, tmp_path):
-        # Better-reply learners rebind the whole rate vector per step
-        # and draw a fresh user index: not a candidate scan.
-        path = write_module(tmp_path, "src/repro/game/ok2.py", """\
-            import numpy as np
-
-
-            def learn(allocation, r0, generator, n_steps):
-                r = np.asarray(r0, dtype=float).copy()
-                for _ in range(n_steps):
-                    i = int(generator.integers(0, r.size))
-                    current = allocation.congestion_i(r, i)
-                    probe = r.copy()
-                    probe[i] = current
-                    if allocation.congestion_i(probe, i) < current:
-                        r = probe
-                return r
-        """)
-        assert findings_for(path, "GW105").findings == []
-
-    def test_outside_game_layer_passes(self, tmp_path):
-        # The generic congestion_grid *fallback* in disciplines/ is
-        # exactly this loop; the rule only polices the game layer.
-        path = write_module(tmp_path, "src/repro/disciplines/ok.py", """\
-            import numpy as np
-
-
-            def scan(allocation, rates, i, xs):
-                base = np.array(rates, dtype=float)
-                out = np.empty(len(xs))
-                for k, x in enumerate(xs):
-                    base[i] = x
-                    out[k] = allocation.congestion_i(base, i)
-                return out
-        """)
-        assert findings_for(path, "GW105").findings == []
-
-    def test_suppressible(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/game/meh.py", """\
-            import numpy as np
-
-
-            def scan(allocation, rates, i, xs):
-                base = np.array(rates, dtype=float)
-                out = np.empty(len(xs))
-                for k, x in enumerate(xs):
-                    base[i] = x
-                    # greedwork: ignore[GW105] -- scalar fallback oracle
-                    out[k] = allocation.congestion_i(base, i)
-                return out
-        """)
-        result = findings_for(path, "GW105")
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
-class TestFixedHorizonSimulate:
-    """GW106."""
-
-    def test_direct_simulate_in_experiment_fails(self, tmp_path):
-        path = write_module(
-            tmp_path, "src/repro/experiments/bad.py", """\
-                from repro.sim.runner import SimulationConfig, simulate
-
-
-                def run(seed=0):
-                    return simulate(SimulationConfig(
-                        rates=[0.1], policy="fifo", horizon=50000.0,
-                        warmup=2500.0, seed=seed))
-        """)
-        result = findings_for(path, "GW106")
-        assert len(result.findings) == 1
-        assert "simulate_to_precision" in result.findings[0].message
-
-    def test_attribute_call_flagged(self, tmp_path):
-        path = write_module(
-            tmp_path, "src/repro/experiments/bad2.py", """\
-                from repro.sim import runner
-
-
-                def run(config):
-                    return runner.simulate(config)
-        """)
-        assert len(findings_for(path, "GW106").findings) == 1
-
-    def test_precision_call_passes(self, tmp_path):
-        path = write_module(
-            tmp_path, "src/repro/experiments/ok.py", """\
-                from repro.sim.runner import simulate_to_precision
-
-
-                def run(config):
-                    return simulate_to_precision(
-                        config, target_halfwidth=0.05)
-        """)
-        assert findings_for(path, "GW106").findings == []
-
-    def test_outside_experiments_passes(self, tmp_path):
-        # The sim layer itself (and benchmarks, tests, examples) may
-        # run fixed horizons freely.
-        path = write_module(tmp_path, "src/repro/sim/ok.py", """\
-            from repro.sim.runner import simulate
-
-
-            def warm(config):
-                return simulate(config)
-        """)
-        assert findings_for(path, "GW106").findings == []
-
-    def test_suppressible_with_justification(self, tmp_path):
-        path = write_module(
-            tmp_path, "src/repro/experiments/meh.py", """\
-                from repro.sim.runner import SimulationConfig, simulate
-
-
-                def run(config):
-                    # greedwork: ignore[GW106] -- divergence claim;
-                    # no CI target exists at rho > 1.
-                    return simulate(config)
-        """)
-        result = findings_for(path, "GW106")
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
-class TestPerUserLoopInClassSpace:
-    """GW107 — per-user API loops in the O(K) class-space modules."""
-
-    def test_per_user_loop_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/game/classes.py", """\
-            import numpy as np
-
-
-            def certify(allocation, utilities, expanded):
-                worst = -np.inf
-                for i, utility in enumerate(utilities):
-                    gain = utility_improvement(allocation, utility,
-                                               expanded, i)
-                    worst = max(worst, gain)
-                return worst
-        """)
-        result = findings_for(path, "GW107")
-        assert len(result.findings) == 1
-        assert "utility_improvement" in result.findings[0].message
-
-    def test_finding_anchors_at_outer_loop(self, tmp_path):
-        # A nested loop reports once, at the outermost ``for`` — so a
-        # single pragma above the nest covers the whole certification
-        # block (the shape ``certify_expansion`` ships with).
-        path = write_module(tmp_path, "src/repro/game/meanfield.py", """\
-            def spot(allocation, utilities, expanded, per_class):
-                worst = 0.0
-                for k, utility in enumerate(utilities):
-                    for j in range(per_class):
-                        gain = utility_improvement(
-                            allocation, utility, expanded, k + j)
-                        worst = max(worst, gain)
-                return worst
-        """)
-        result = findings_for(path, "GW107")
-        assert len(result.findings) == 1
-        assert result.findings[0].line == 3
-
-    def test_class_space_calls_pass(self, tmp_path):
-        # O(K) work through the class-space API is the point of the
-        # module; only the per-user surface is banned.
-        path = write_module(tmp_path, "src/repro/game/classes.py", """\
-            import numpy as np
-
-
-            def gains(allocation, utilities, class_rates, counts):
-                out = np.empty(len(utilities))
-                for k, utility in enumerate(utilities):
-                    out[k] = class_best_response(
-                        allocation, utility, class_rates, counts, k).x
-                return out
-        """)
-        assert findings_for(path, "GW107").findings == []
-
-    def test_outside_class_space_modules_passes(self, tmp_path):
-        # The per-user game layer loops over users by design.
-        path = write_module(tmp_path, "src/repro/game/nash.py", """\
-            def sweep(allocation, profile, rates):
-                worst = 0.0
-                for i, utility in enumerate(profile):
-                    worst = max(worst, utility_improvement(
-                        allocation, utility, rates, i))
-                return worst
-        """)
-        assert findings_for(path, "GW107").findings == []
-
-    def test_suppressible_with_justification(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/game/classes.py", """\
-            def certify(allocation, utilities, expanded):
-                worst = 0.0
-                # greedwork: ignore[GW107] -- bounded spot check, one
-                # user per class, never O(N).
-                for i, utility in enumerate(utilities):
-                    worst = max(worst, utility_improvement(
-                        allocation, utility, expanded, i))
-                return worst
-        """)
-        result = findings_for(path, "GW107")
         assert result.findings == []
         assert len(result.suppressed) == 1
 
@@ -2073,73 +1464,6 @@ class TestOrderedAggregation:
         assert len(result.suppressed) == 1
 
 
-class TestChunkedHotPath:
-    """GW503."""
-
-    def test_per_event_heap_loop_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/engine2.py", """\
-            import heapq
-
-
-            def drain(heap, tracker):
-                while heap:
-                    t, user = heapq.heappop(heap)
-                    tracker.advance(t)
-                    tracker.on_arrival(user)
-        """)
-        result = findings_for(path, "GW503", root=tmp_path)
-        assert len(result.findings) == 1
-        assert "per-event loop" in result.findings[0].message
-
-    def test_per_iteration_draw_loop_fails(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/engine2.py", """\
-            def gaps(stream, n):
-                out = []
-                for _ in range(n):
-                    out.append(stream.draw())
-                return out
-        """)
-        result = findings_for(path, "GW503", root=tmp_path)
-        assert len(result.findings) == 1
-        assert "peek_block" in result.findings[0].message
-
-    def test_heap_loop_without_event_calls_passes(self, tmp_path):
-        # A policy's internal heap maintenance is not an event loop.
-        path = write_module(tmp_path, "src/repro/sim/policy2.py", """\
-            import heapq
-
-
-            def drain(heap):
-                out = []
-                while heap:
-                    out.append(heapq.heappop(heap))
-                return out
-        """)
-        result = findings_for(path, "GW503", root=tmp_path)
-        assert result.findings == []
-
-    def test_game_layer_out_of_scope(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/game/walk.py", """\
-            def walk(stream, n):
-                return [stream.draw() for _ in range(n)]
-        """)
-        result = findings_for(path, "GW503", root=tmp_path)
-        assert result.findings == []
-
-    def test_suppressible(self, tmp_path):
-        path = write_module(tmp_path, "src/repro/sim/engine2.py", """\
-            def gaps(stream, n):
-                out = []
-                # greedwork: ignore[GW503] -- scalar reference loop
-                for _ in range(n):
-                    out.append(stream.draw())
-                return out
-        """)
-        result = findings_for(path, "GW503", root=tmp_path)
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
 class TestWorkerSharedState:
     """GW601 (whole-program)."""
 
@@ -2772,7 +2096,7 @@ class TestCLI:
         assert "GW003" in out
 
     def test_check_json_format(self, tmp_path, capsys):
-        write_module(tmp_path, "bad.py", """\
+        write_module(tmp_path, "src/repro/analysis/bad.py", """\
             def f(total):
                 return total == 0.0
         """)
@@ -2920,3 +2244,32 @@ class TestRepoIsClean:
         messages = [f.render() for f in result.findings]
         assert messages == []
         assert result.files_checked > 140
+
+    def test_every_pragma_names_a_registered_rule(self):
+        """A pragma naming an unknown id suppresses nothing, silently.
+
+        Only real comments count: pragmas quoted in docstrings and in
+        fixture sources are strings.  Family prefixes select rules on
+        the command line but do not suppress, so they are not accepted
+        here either.
+        """
+        pragma = re.compile(
+            r"#\s*greedwork:\s*ignore(?:\[(?P<ids>[^\]]*)\])?")
+        known = {rule.rule_id for rule in all_rules()} | {ALL_RULES}
+        stale = []
+        paths = [REPO_ROOT / name
+                 for name in ("src", "tests", "benchmarks", "examples")]
+        for path in collect_files(paths):
+            source = path.read_text(encoding="utf-8")
+            for token in tokenize.generate_tokens(
+                    io.StringIO(source).readline):
+                match = pragma.search(token.string) \
+                    if token.type == tokenize.COMMENT else None
+                if match is None or match.group("ids") is None:
+                    continue
+                for rule_id in match.group("ids").split(","):
+                    rule_id = rule_id.strip()
+                    if rule_id and rule_id not in known:
+                        stale.append(f"{path.relative_to(REPO_ROOT)}:"
+                                     f"{token.start[0]}: {rule_id}")
+        assert stale == []
