@@ -4,8 +4,8 @@ PYTHON ?= python
 STRICT_PKGS = -p repro.queueing -p repro.costsharing -p repro.disciplines
 
 .PHONY: install test test-fast bench bench-micro bench-solver \
-        bench-stats bench-staticcheck bench-sweep experiments report \
-        examples clean lint lint-ruff lint-mypy check check-sarif
+        bench-stats bench-staticcheck bench-sweep perfbench experiments \
+        report examples clean lint lint-ruff lint-mypy check check-sarif
 
 install:
 	$(PYTHON) -m pip install -e '.[test]'
@@ -45,6 +45,10 @@ test-fast:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark (BENCHMARK.json): every workload, untraced.
+perfbench:
+	python3 perfbench/run.py --workload all --seed 0 --seconds 15 --trace 0
 
 # Event-loop throughput matrix; appends to the BENCH_sim.json
 # trajectory so engine changes are comparable across commits.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +83,9 @@ def solve_stackelberg(allocation, profile: Sequence[Utility], leader: int,
     The outer problem is one-dimensional; each candidate commitment
     requires an inner Nash solve for the followers, so the scan is kept
     coarse and refined by golden-section search around the best
-    candidate.
+    candidate.  Consecutive commitments differ only slightly, so each
+    inner solve warm-starts from the follower equilibrium already
+    solved at the nearest commitment.
     """
     if not 0 <= leader < len(profile):
         raise ValueError(f"leader index {leader} out of range")
@@ -92,20 +94,25 @@ def solve_stackelberg(allocation, profile: Sequence[Utility], leader: int,
     if r_max is not None:
         hi = float(r_max)
 
-    cache = {}
+    cache: Dict[float, NashResult] = {}
+
+    def nearest_start(rate: float) -> Optional[np.ndarray]:
+        """The solved follower equilibrium nearest ``rate``, if any."""
+        if not cache:
+            return None
+        return cache[min(cache, key=lambda key: abs(key - rate))].rates
 
     def leader_value(rate: float) -> float:
         key = round(rate, 12)
         if key not in cache:
-            outcome = follower_equilibrium(allocation, profile, leader,
-                                           rate)
-            cache[key] = outcome
-        outcome = cache[key]
-        return float(outcome.utilities[leader])
+            cache[key] = follower_equilibrium(allocation, profile, leader,
+                                              rate, r0=nearest_start(rate))
+        return float(cache[key].utilities[leader])
 
     best = multistart_maximize(leader_value, 1e-5, hi, n_scan=n_scan,
                                tol=1e-8)
-    final = follower_equilibrium(allocation, profile, leader, best.x)
+    final = follower_equilibrium(allocation, profile, leader, best.x,
+                                 r0=nearest_start(best.x))
     return StackelbergResult(leader=leader, rates=final.rates,
                              leader_utility=float(
                                  final.utilities[leader]),

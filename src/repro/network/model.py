@@ -13,12 +13,14 @@ and speed; loads are expressed in service units, so a switch of speed
 ``s`` running discipline ``C`` contributes ``C(r_S / s)`` where ``r_S``
 is the vector of rates crossing it.
 
-:class:`NetworkAllocation` exposes the same evaluation/derivative
-interface as a single-switch allocation function, so the whole game
-layer runs on networks unchanged.  It is *not* symmetric in general
-(users with different routes are not interchangeable), which is
-exactly why the paper says the single-switch fairness notion loses its
-meaning on networks.
+:class:`NetworkAllocation` is an
+:class:`~repro.disciplines.base.AllocationFunction`, so the whole game
+layer runs on networks unchanged, batched grid path included: a user's
+grid evaluator composes the per-switch evaluators along her route.  It
+is *not* symmetric in general (users with different routes are not
+interchangeable), which is exactly why the paper says the
+single-switch fairness notion loses its meaning on networks, and why
+the symmetry-class paths refuse networks.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.disciplines.base import AllocationFunction
+from repro.disciplines.base import AllocationFunction, GridEvaluator
 from repro.exceptions import DisciplineError
 
 
@@ -58,6 +60,10 @@ class Route:
         return len(self.switches)
 
 
+_NOT_SYMMETRIC = ("network users are not interchangeable; symmetry-class "
+                  "evaluation does not apply")
+
+
 class _CapacityShim:
     """Minimal curve-like object carrying the binding rate capacity.
 
@@ -69,7 +75,7 @@ class _CapacityShim:
         self.capacity = capacity
 
 
-class NetworkAllocation:
+class NetworkAllocation(AllocationFunction):
     """Per-switch disciplines composed over user routes.
 
     Parameters
@@ -82,6 +88,12 @@ class NetworkAllocation:
     speeds:
         Optional per-switch service rates (default 1.0 each).
     """
+
+    #: The grid path composes the switches' own grid evaluators, and the
+    #: scalar objective is a whole-network :meth:`congestion` rather
+    #: than one ``sum``, so the grid wins at every population.
+    vectorized_grid = True
+    grid_min_users = 0
 
     def __init__(self, switches: Sequence[AllocationFunction],
                  routes: Sequence,
@@ -116,6 +128,8 @@ class NetworkAllocation:
             for alpha in range(n_switches)
         ]
         self.name = "network(" + ",".join(s.name for s in self.switches) + ")"
+        # The base initializer binds a service curve and its feasibility
+        # set; a network has neither, only its binding capacity.
         self.curve = _CapacityShim(float(self.speeds.min()))
 
     @property
@@ -139,12 +153,73 @@ class NetworkAllocation:
             totals[members] += local
         return totals
 
-    def congestion_i(self, rates: Sequence[float], i: int) -> float:
-        """User ``i``'s total congestion along her route."""
-        return float(self.congestion(rates)[i])
+    # -- batched evaluation --------------------------------------------------
 
-    def __call__(self, rates: Sequence[float]) -> np.ndarray:
-        return self.congestion(rates)
+    def grid_evaluator(self, rates: Sequence[float], i: int
+                       ) -> GridEvaluator:
+        """User ``i``'s route congestion over candidate own-rates.
+
+        Each hop prepares its switch's own evaluator against the
+        opponents crossing it (in that switch's service units) once;
+        a grid call evaluates every hop at ``xs / speed`` and sums the
+        hops from 0.0 in switch-index order, as :meth:`congestion`
+        does, so both paths add the same terms in the same order.
+        """
+        r = np.asarray(rates, dtype=float)
+        hops = []
+        for alpha in sorted(self.routes[i]):
+            members = self.members[alpha]
+            speed = self.speeds[alpha]
+            local = int(np.nonzero(members == i)[0][0])
+            hops.append((self.switches[alpha].grid_evaluator(
+                r[members] / speed, local), speed))
+
+        def evaluate(xs: Sequence[float]) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            total = np.zeros(cand.shape)
+            for hop, speed in hops:
+                total += hop(cand / speed)
+            return total
+
+        return evaluate
+
+    def congestion_grid(self, rates: Sequence[float], i: int,
+                        xs: Sequence[float]) -> np.ndarray:
+        """``C_i`` over candidate own-rates, composed along the route."""
+        return self.grid_evaluator(rates, i)(xs)
+
+    def congestion_many(self, profiles: Sequence[Sequence[float]]
+                        ) -> np.ndarray:
+        """Congestion matrix for a batch of profiles, one pass per switch."""
+        batch = np.asarray(profiles, dtype=float)
+        if batch.ndim != 2 or batch.shape[1] != self.n_users:
+            raise DisciplineError(
+                f"profiles must be 2-D (batch, {self.n_users}), got "
+                f"{batch.shape}")
+        totals = np.zeros(batch.shape)
+        for alpha, allocation in enumerate(self.switches):
+            members = self.members[alpha]
+            if members.size == 0:
+                continue
+            local = allocation.congestion_many(
+                batch[:, members] / self.speeds[alpha])
+            totals[:, members] += local
+        return totals
+
+    # -- symmetry classes ------------------------------------------------------
+    # Users on different routes are not interchangeable, so the
+    # class-space paths (which assume a symmetric allocation) refuse
+    # networks instead of silently expanding classes.
+
+    def class_congestion(self, class_rates: Sequence[float],
+                         counts: Sequence[int]) -> np.ndarray:
+        raise DisciplineError(_NOT_SYMMETRIC)
+
+    def class_deviation_evaluator(self, class_rates: Sequence[float],
+                                  counts: Sequence[int], i: int,
+                                  include_self: bool = False
+                                  ) -> GridEvaluator:
+        raise DisciplineError(_NOT_SYMMETRIC)
 
     # -- derivatives -----------------------------------------------------
 
@@ -243,12 +318,6 @@ class NetworkAllocation:
                 return math.inf
             total += curve.value(load) / n_alpha
         return total
-
-    def subsystem(self, fixed: dict):
-        """Freeze users by index (reuses the single-switch machinery)."""
-        from repro.disciplines.base import Subsystem
-
-        return Subsystem(self, fixed)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"NetworkAllocation(switches={len(self.switches)}, "

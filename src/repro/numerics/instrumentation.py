@@ -158,4 +158,6 @@ def track_solver() -> Iterator[SolverCounters]:
     try:
         yield frame
     finally:
-        _STACK.remove(frame)
+        # By identity: ``list.remove`` compares dataclasses by value and
+        # would drop an outer frame whose counters happen to be equal.
+        _STACK[:] = [other for other in _STACK if other is not frame]

@@ -11,6 +11,7 @@ a coarse multistart scan, and treat non-finite objective values as
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -123,6 +124,36 @@ def _safe_grid(grid_func: GridFunc, xs: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(ys), -math.inf, ys)
 
 
+@functools.lru_cache(maxsize=None)
+def _ramp(num: int) -> np.ndarray:
+    """The read-only ``arange(num)`` :func:`linspace` scales."""
+    ramp = np.arange(num, dtype=float)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def linspace(lo: float, hi: float, num: int) -> np.ndarray:
+    """``np.linspace(lo, hi, num)`` bit for bit, for ``num >= 2``.
+
+    The grid zoom builds ~10 tiny grids per best response, and
+    ``np.linspace``'s generic dispatch costs more than its arithmetic
+    there.  This repeats numpy's float64 steps on a cached ramp:
+    ``ramp * step + lo`` with the last entry pinned to ``hi``, and
+    numpy's zero-step branch ``ramp / div * delta`` for brackets so
+    narrow (subnormal) that the step underflows.
+    """
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        grid = _ramp(num) / div * delta
+    else:
+        grid = _ramp(num) * step
+    grid += lo
+    grid[-1] = hi
+    return grid
+
+
 #: Points per refinement round of the batched zoom (bracket shrinks by
 #: ``2 / (GRID_REFINE_POINTS - 1)`` = 16x per round).
 GRID_REFINE_POINTS = 33
@@ -148,7 +179,7 @@ def grid_multistart_maximize(grid_func: GridFunc, lo: float, hi: float,
         raise ValueError("n_scan must be at least 3")
     if hi < lo:
         lo, hi = hi, lo
-    xs = np.linspace(lo, hi, n_scan)
+    xs = linspace(lo, hi, n_scan)
     ys = _safe_grid(grid_func, xs)
     evals = n_scan
     calls = 1
@@ -159,7 +190,7 @@ def grid_multistart_maximize(grid_func: GridFunc, lo: float, hi: float,
     right = float(xs[min(best + 1, n_scan - 1)])
     width = right - left
     while width > tol:
-        xs = np.linspace(left, right, GRID_REFINE_POINTS)
+        xs = linspace(left, right, GRID_REFINE_POINTS)
         ys = _safe_grid(grid_func, xs)
         evals += GRID_REFINE_POINTS
         calls += 1

@@ -550,7 +550,7 @@ class SweepScheduler:
                 self._queued -= len(batch)
                 self._absorb(_run_cell_batch(batch,
                                              self._cache_enabled),
-                             journal, by_key)
+                             journal, by_key, from_worker=False)
             self._running = 0
             return
         asyncio.run(self._dispatch(batches, journal, by_key))
@@ -594,12 +594,19 @@ class SweepScheduler:
     def _absorb(self, payload: Tuple[List[Dict[str, Any]],
                                      Dict[str, int], float],
                 journal: Optional[journal_mod.SweepJournal],
-                by_key: Dict[str, CellOutcome]) -> None:
-        """Fold one batch result into parent-side accounting."""
+                by_key: Dict[str, CellOutcome],
+                from_worker: bool = True) -> None:
+        """Fold one batch result into parent-side accounting.
+
+        A worker's cache-counter delta is merged into this process's
+        counters; an in-process batch (``from_worker=False``) already
+        bumped them live.
+        """
         outcome_dicts, delta, busy = payload
         for key in delta:
             self._delta[key] = self._delta.get(key, 0) + delta[key]
-        sim_cache.merge_stats(delta)
+        if from_worker:
+            sim_cache.merge_stats(delta)
         self._busy_s += busy
         for outcome_dict in outcome_dicts:
             outcome = CellOutcome.from_dict(outcome_dict)

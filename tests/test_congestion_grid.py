@@ -2,19 +2,22 @@
 
 Every discipline's ``congestion_grid`` / ``congestion_many`` must agree
 with a scalar ``congestion_i`` / ``congestion`` loop — including at
-ties, at (and beyond) capacity, and through subsystems — and the
-analytic ``gradient_i`` / ``second_gradient_i`` overrides must match
-the numeric finite-difference defaults.
+ties, at (and beyond) capacity, through subsystems and composed over
+network routes — and the analytic ``gradient_i`` / ``second_gradient_i``
+overrides must match the numeric finite-difference defaults.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disciplines.base import AllocationFunction
 from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.proportional import ProportionalAllocation
 from repro.disciplines.registry import available_disciplines, make_discipline
 from repro.disciplines.separable import SeparableAllocation
+from repro.network.model import NetworkAllocation
 from repro.numerics.rng import default_rng
 
 #: Batched-vs-scalar congestion values must agree essentially exactly.
@@ -238,3 +241,90 @@ class TestGenericFallback:
         many = stub.congestion_many(batch)
         rows = np.stack([stub.congestion(row) for row in batch])
         assert np.array_equal(many, rows)
+
+
+@st.composite
+def networks(draw):
+    """A random network with dyadic rates and power-of-two speeds.
+
+    Dyadic rates make every load sum exact in any order, so the scalar
+    and composed paths see the same loads and the same capacity
+    verdicts; 1.0 capacity is reachable, so overloaded hops occur.
+    """
+    n_switches = draw(st.integers(1, 3))
+    n_users = draw(st.integers(1, 5))
+    routes = []
+    for _ in range(n_users):
+        order = draw(st.permutations(range(n_switches)))
+        routes.append(order[:draw(st.integers(1, n_switches))])
+    switches = [make_discipline(name) for name in draw(st.lists(
+        st.sampled_from(["fair-share", "fifo"]),
+        min_size=n_switches, max_size=n_switches))]
+    speeds = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                           min_size=n_switches, max_size=n_switches))
+    rates = np.array(draw(st.lists(st.integers(0, 40), min_size=n_users,
+                                   max_size=n_users)), dtype=float) / 64.0
+    return NetworkAllocation(switches, routes, speeds=speeds), rates
+
+
+#: Dyadic candidates from zero to past every switch's capacity.
+NETWORK_XS = np.arange(0, 300) / 128.0
+
+
+class TestNetworkGridPath:
+    @given(case=networks())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_evaluator_matches_scalar(self, case):
+        network, rates = case
+        for i in range(network.n_users):
+            assert_matches(network.grid_evaluator(rates, i)(NETWORK_XS),
+                           scalar_grid(network, rates, i, NETWORK_XS))
+
+    @given(case=networks(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_many_equals_row_loop(self, case, data):
+        network, rates = case
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 40), min_size=rates.size,
+                     max_size=rates.size), min_size=1, max_size=6))
+        batch = np.array(rows, dtype=float) / 64.0
+        expected = np.stack([network.congestion(row) for row in batch])
+        assert_matches(network.congestion_many(batch), expected)
+
+    def test_congestion_grid_is_the_evaluator(self):
+        network = NetworkAllocation([FairShareAllocation()] * 2,
+                                    [[0], [1], [0, 1]], speeds=[1.0, 0.8])
+        rates = np.array([0.2, 0.1, 0.3])
+        xs = np.linspace(1e-6, 0.9, 11)
+        assert np.array_equal(network.congestion_grid(rates, 2, xs),
+                              network.grid_evaluator(rates, 2)(xs))
+
+    def test_class_paths_refuse_networks(self):
+        from repro.exceptions import DisciplineError
+
+        network = NetworkAllocation([FairShareAllocation()] * 2,
+                                    [[0], [1], [0, 1]])
+        with pytest.raises(DisciplineError):
+            network.class_congestion([0.1], [3])
+        with pytest.raises(DisciplineError):
+            network.class_deviation_evaluator([0.1], [3], 0)
+
+
+class TestGridContract:
+    """``vectorized_grid`` is a promise the solvers act on: the game
+    layer calls ``grid_evaluator`` and ``congestion_many`` on every
+    allocation that sets it."""
+
+    @pytest.mark.parametrize("allocation", [
+        *(make_discipline(name) for name in ALL_NAMES),
+        NetworkAllocation([FairShareAllocation(), ProportionalAllocation()],
+                          [[0], [1], [0, 1]]),
+    ], ids=[*ALL_NAMES, "network"])
+    def test_vectorized_grid_has_both_batched_paths(self, allocation):
+        if not allocation.vectorized_grid:
+            pytest.skip("scalar-only discipline")
+        rates = np.array([0.1, 0.2, 0.15])
+        xs = np.linspace(0.01, 0.3, 5)
+        assert allocation.grid_evaluator(rates, 0)(xs).shape == xs.shape
+        batch = np.stack([rates, rates / 2.0])
+        assert allocation.congestion_many(batch).shape == batch.shape

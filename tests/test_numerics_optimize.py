@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.numerics.optimize import (
     argmax_on_grid,
     golden_section_max,
+    linspace,
     maximize_scalar,
     multistart_maximize,
 )
@@ -86,3 +90,40 @@ class TestArgmaxOnGrid:
 
     def test_tie_goes_to_first(self):
         assert argmax_on_grid(lambda x: 0.0, [5.0, 6.0]) == 5.0
+
+
+def assert_bitwise(actual, expected):
+    """Equal bit patterns (so -0.0 and 0.0 count as different)."""
+    assert actual.dtype == expected.dtype == np.float64
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+TINY = 5e-324      # the smallest subnormal
+
+
+class TestLinspace:
+    """The zoom-grid builder must reproduce ``np.linspace`` exactly."""
+
+    @pytest.mark.parametrize("num", [3, 17, 33, 65])
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, 1.0), (1e-6, 0.999999), (0.1, 0.7), (-2.5, 3.25),
+        (0.3, 0.3), (0.0, 0.0),                      # zero width
+        (0.0, 7 * TINY), (1e-310, 1e-310 + 40 * TINY),  # subnormal
+        (0.5, float(np.nextafter(0.5, 1.0))),        # one ulp
+        (1e-300, 2e-300),
+    ])
+    def test_matches_numpy_on_edge_brackets(self, num, lo, hi):
+        assert_bitwise(linspace(lo, hi, num), np.linspace(lo, hi, num))
+
+    @given(lo=st.floats(-1e6, 1e6), width=st.floats(0.0, 1e3),
+           num=st.sampled_from([3, 17, 33, 65]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy(self, lo, width, num):
+        hi = lo + width
+        assert_bitwise(linspace(lo, hi, num), np.linspace(lo, hi, num))
+
+    def test_result_is_writable_and_fresh(self):
+        first = linspace(0.0, 1.0, 17)
+        first[0] = 9.0
+        assert linspace(0.0, 1.0, 17)[0] == 0.0

@@ -100,6 +100,21 @@ class TestCounters:
         assert inner.objective_evals == 10
         assert outer.objective_evals == 11
 
+    def test_nested_tracker_with_equal_counters_leaves_outer(self):
+        # Frames are popped by identity: an inner frame whose counters
+        # equal the outer one's (both still zero) must not take the
+        # outer frame with it.
+        with track_solver() as outer:
+            with track_solver() as inner:
+                pass
+            record(objective_evals=3)
+            with track_solver() as second:
+                record(grid_calls=2)
+        assert (outer.objective_evals, outer.grid_calls) == (3, 2)
+        assert (inner.objective_evals, inner.grid_calls) == (0, 0)
+        assert (second.objective_evals, second.grid_calls) == (0, 2)
+        assert instrumentation._STACK == []
+
     def test_as_dict_round_trip(self):
         counters = SolverCounters(objective_evals=4, grid_calls=2)
         as_dict = counters.as_dict()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.game import stackelberg
 from repro.game.nash import solve_nash
 from repro.game.stackelberg import (
     follower_equilibrium,
@@ -65,3 +66,44 @@ class TestSolveStackelberg:
         profile = [LinearUtility(gamma=0.25), LinearUtility(gamma=0.35)]
         advantage = leader_advantage(fifo, profile, leader=1, n_scan=13)
         assert advantage >= 0.0
+
+
+class TestWarmStartedScan:
+    """Each follower solve of the outer scan starts from the follower
+    equilibrium at the nearest commitment already solved."""
+
+    @staticmethod
+    def _scan(monkeypatch, allocation, profile, cold):
+        """``solve_stackelberg`` plus the follower iterations it spent;
+        ``cold`` drops every warm start (every solve from the default
+        start, the reference)."""
+        original = stackelberg.follower_equilibrium
+        iterations = []
+
+        def counted(allocation, profile, leader, leader_rate, r0=None,
+                    tol=1e-9):
+            outcome = original(allocation, profile, leader, leader_rate,
+                               r0=None if cold else r0, tol=tol)
+            iterations.append(outcome.iterations)
+            return outcome
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stackelberg, "follower_equilibrium", counted)
+            result = solve_stackelberg(allocation, profile, leader=0,
+                                       n_scan=17)
+        return result, sum(iterations)
+
+    @pytest.mark.parametrize("name", ["fifo", "fair_share"])
+    def test_warm_matches_cold_with_fewer_iterations(self, monkeypatch,
+                                                     request, name):
+        allocation = request.getfixturevalue(name)
+        profile = [LinearUtility(gamma=0.25), LinearUtility(gamma=0.35),
+                   LinearUtility(gamma=0.3)]
+        warm, warm_iters = self._scan(monkeypatch, allocation, profile,
+                                      cold=False)
+        cold, cold_iters = self._scan(monkeypatch, allocation, profile,
+                                      cold=True)
+        assert warm.leader_utility == pytest.approx(cold.leader_utility,
+                                                    abs=1e-8)
+        assert warm.evaluations == cold.evaluations
+        assert warm_iters < cold_iters

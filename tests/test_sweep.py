@@ -339,6 +339,26 @@ class TestScheduler:
         assert parallel.busy_s > 0.0
 
     @pytest.mark.slow
+    def test_cache_stats_counted_once_at_any_jobs(self, sweep_env,
+                                                  tmp_path, monkeypatch):
+        # In-process (jobs=1) batches bump the counters live, so the
+        # scheduler must not merge their delta a second time.
+        catalog = expand_catalog(tiny_spec())
+        deltas = []
+        for jobs in (1, 2):
+            monkeypatch.setenv(sim_cache.ENV_DIR,
+                               str(tmp_path / f"sim-jobs{jobs}"))
+            before = sim_cache.snapshot()
+            result = run_sweep(catalog, jobs=jobs, journal=False,
+                               cache_enabled=True)
+            after = sim_cache.snapshot()
+            process = {key: after[key] - before[key] for key in after}
+            assert process == result.stats_delta
+            assert result.stats_delta["fresh_events"] > 0
+            deltas.append(result.stats_delta)
+        assert deltas[0] == deltas[1]
+
+    @pytest.mark.slow
     def test_concurrent_identical_cells_simulate_once(self, sweep_env,
                                                       tmp_path,
                                                       monkeypatch):
