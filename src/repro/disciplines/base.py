@@ -71,6 +71,10 @@ from repro.queueing.service_curves import MM1Curve, ServiceCurve
 #: A prepared batched objective: candidate own-rates -> ``C_i`` values.
 GridEvaluator = Callable[[Sequence[float]], np.ndarray]
 
+#: The row form: ``(rows, xs) -> C`` where ``xs[j]`` holds candidate
+#: own-rates for problem ``rows[j]`` and the result has ``xs``' shape.
+RowGridEvaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 
 def expand_class_rates(class_rates: Sequence[float],
                        counts: Sequence[int]) -> np.ndarray:
@@ -180,6 +184,27 @@ class AllocationFunction(ABC):
         """
         def evaluate(xs: Sequence[float]) -> np.ndarray:
             return self.congestion_grid(rates, i, xs)
+
+        return evaluate
+
+    def grid_evaluator_rows(self, rates: np.ndarray, i: int
+                            ) -> RowGridEvaluator:
+        """:meth:`grid_evaluator` for S independent opponent profiles.
+
+        ``rates`` is ``(S, n)``; the returned ``(rows, xs)`` evaluator
+        gives, in row ``j``, user ``i``'s congestion over ``xs[j]``
+        against the opponents of ``rates[rows[j]]``, bit-identical to
+        ``grid_evaluator(rates[rows[j]], i)(xs[j])``.  The lockstep
+        Nash solver evaluates all its problems' grids in one call.  The
+        default stacks per-row evaluators; disciplines with closed
+        forms override it with one numpy pass over the whole batch.
+        """
+        evaluators = [self.grid_evaluator(row.copy(), i)
+                      for row in np.asarray(rates, dtype=float)]
+
+        def evaluate(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+            return np.stack([evaluators[k](grid)
+                             for k, grid in zip(rows.tolist(), xs)])
 
         return evaluate
 
@@ -468,6 +493,26 @@ class Subsystem:
         orig = self.free_indices(full.size)[i]
         return self.parent.grid_evaluator(full, orig)
 
+    def _embed_batch(self, profiles: Sequence[Sequence[float]]
+                     ) -> Tuple[np.ndarray, List[int]]:
+        """Full-vector batch for free-user profiles, and the free indices."""
+        batch = np.asarray(profiles, dtype=float)
+        n_total = batch.shape[1] + len(self.fixed)
+        free = self.free_indices(n_total)
+        full = np.empty((batch.shape[0], n_total))
+        for idx, rate in self.fixed.items():
+            full[:, idx] = rate
+        full[:, free] = batch
+        return full, free
+
+    def grid_evaluator_rows(self, free_rates: np.ndarray, i: int
+                            ) -> RowGridEvaluator:
+        """Row evaluator for free user ``i`` (see
+        :meth:`AllocationFunction.grid_evaluator_rows`): the batch is
+        embedded once and the parent's row evaluator does the rest."""
+        full, free = self._embed_batch(free_rates)
+        return self.parent.grid_evaluator_rows(full, free[i])
+
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:
         """Free-user congestion matrix for a batch of free profiles.
@@ -476,13 +521,7 @@ class Subsystem:
         :meth:`AllocationFunction.congestion_many`, keeping a
         vectorized parent one-pass inside subsystems.
         """
-        batch = np.asarray(profiles, dtype=float)
-        n_total = batch.shape[1] + len(self.fixed)
-        free = self.free_indices(n_total)
-        full = np.empty((batch.shape[0], n_total))
-        for idx, rate in self.fixed.items():
-            full[:, idx] = rate
-        full[:, free] = batch
+        full, free = self._embed_batch(profiles)
         return self.parent.congestion_many(full)[:, free]
 
     def __call__(self, free_rates: Sequence[float]) -> np.ndarray:

@@ -36,7 +36,12 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    check_classes)
+                                    RowGridEvaluator, check_classes)
+
+#: Opponent count up to which :meth:`FairShareAllocation.grid_evaluator_rows`
+#: finds insertion positions with one broadcast comparison; longer
+#: ladders use a ``searchsorted`` per row.
+_BROADCAST_LADDER_MAX = 64
 
 
 class FairShareAllocation(AllocationFunction):
@@ -171,6 +176,66 @@ class FairShareAllocation(AllocationFunction):
             ok = (p <= k_bad) & (own_loads < cap)
             out[ok] = h[p[ok]] + (
                 (self.curve.values(own_loads[ok]) - g_prev[p[ok]])
+                / (n - p[ok]))
+            return out
+
+        return evaluate
+
+    def grid_evaluator_rows(self, rates: np.ndarray, i: int
+                            ) -> RowGridEvaluator:
+        """Row form of :meth:`grid_evaluator`: one opponent ladder per row.
+
+        The sort, prefix sums, ``k_bad`` and ``g``-share tables are
+        built for all rows at once; a candidate's insertion position is
+        the count of opponents strictly below it (``searchsorted``'s
+        ``side="left"``), and the tables are read at ``(row, position)``
+        pairs.  Same float operations per element as the one-row
+        evaluator.
+        """
+        r = np.asarray(rates, dtype=float)
+        opp = np.delete(r, i, axis=1)
+        if opp.size and float(opp.min()) < 0.0:
+            raise ValueError("rates must be nonnegative")
+        n_rows, n = r.shape
+        cap = self.curve.capacity
+        s = np.sort(opp, axis=1)
+        m = s.shape[1]
+        m_idx = np.arange(m)
+        prefix = np.concatenate((np.zeros((n_rows, 1)),
+                                 np.cumsum(s, axis=1)), axis=1)
+        opp_loads = (n - m_idx) * s + prefix[:, :-1]
+        unstable = opp_loads >= cap
+        k_bad = np.full(n_rows, m)
+        for row in np.flatnonzero(unstable.any(axis=1)):
+            k_bad[row] = np.searchsorted(unstable[row], True)
+        stable = m_idx < k_bad[:, None]
+        g_opp = np.full((n_rows, m), math.inf)
+        g_opp[stable] = self.curve.values(opp_loads[stable])
+        with np.errstate(invalid="ignore"):
+            shares = np.diff(g_opp, prepend=0.0, axis=1) / (n - m_idx)
+        h = np.concatenate((np.zeros((n_rows, 1)),
+                            np.cumsum(np.where(stable, shares, 0.0), axis=1)),
+                           axis=1)
+        h[np.arange(m + 1) > k_bad[:, None]] = math.inf
+        g_prev = np.concatenate((np.zeros((n_rows, 1)), g_opp), axis=1)
+
+        def evaluate(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            if cand.size and float(cand.min()) < 0.0:
+                raise ValueError("rates must be nonnegative")
+            ladder = s[rows]
+            if m <= _BROADCAST_LADDER_MAX:
+                p = np.count_nonzero(ladder[:, None, :] < cand[:, :, None],
+                                     axis=2)
+            else:
+                p = np.stack([np.searchsorted(row, grid, side="left")
+                              for row, grid in zip(ladder, cand)])
+            at = (rows[:, None], p)
+            own_loads = (n - p) * cand + prefix[at]
+            out = np.full(cand.shape, math.inf)
+            ok = (p <= k_bad[rows, None]) & (own_loads < cap)
+            out[ok] = h[at][ok] + (
+                (self.curve.values(own_loads[ok]) - g_prev[at][ok])
                 / (n - p[ok]))
             return out
 

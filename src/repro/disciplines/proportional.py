@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    check_classes)
+                                    RowGridEvaluator, check_classes)
 
 
 class ProportionalAllocation(AllocationFunction):
@@ -110,6 +110,23 @@ class ProportionalAllocation(AllocationFunction):
         def evaluate(xs: Sequence[float]) -> np.ndarray:
             cand = np.asarray(xs, dtype=float)
             totals = opponent_total + cand
+            out = np.full(cand.shape, math.inf)
+            ok = totals < cap
+            out[ok] = cand[ok] * self._phi_values(totals[ok])
+            return out
+
+        return evaluate
+
+    def grid_evaluator_rows(self, rates: np.ndarray, i: int
+                            ) -> RowGridEvaluator:
+        """Row form of :meth:`grid_evaluator`: one opponent total per row."""
+        r = np.asarray(rates, dtype=float)
+        opponent_total = np.delete(r, i, axis=1).sum(axis=1)
+        cap = self.curve.capacity
+
+        def evaluate(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            totals = opponent_total[rows, None] + cand
             out = np.full(cand.shape, math.inf)
             ok = totals < cap
             out[ok] = cand[ok] * self._phi_values(totals[ok])

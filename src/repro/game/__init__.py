@@ -32,6 +32,7 @@ from repro.game.nash import (
     is_nash,
     solve_nash,
     solve_nash_fdc,
+    solve_nash_many,
 )
 from repro.game.pareto import (
     ConstraintAdapter,
@@ -94,6 +95,7 @@ __all__ = [
     "NashResult",
     "solve_nash",
     "solve_nash_fdc",
+    "solve_nash_many",
     "find_all_nash",
     "is_nash",
     "ConstraintAdapter",

@@ -18,14 +18,16 @@ solver path.  Every best response records its evaluation counts via
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+import time
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.numerics import instrumentation
-from repro.numerics.optimize import (GridFunc, ScalarMaxResult,
+from repro.numerics.optimize import (GridFunc, RowGridFunc, ScalarMaxResult,
+                                     grid_multistart_maximize_rows,
                                      multistart_maximize)
-from repro.users.utility import Utility
+from repro.users.utility import Utility, value_grid_rows
 
 #: Smallest rate a user will consider (the paper requires ``r_i > 0``).
 MIN_RATE = 1e-6
@@ -48,24 +50,30 @@ def _default_rate_cap(allocation) -> float:
     return 4.0
 
 
-def _grid_objective(allocation, utility: Utility, rates: np.ndarray,
-                    i: int) -> Optional[GridFunc]:
-    """Batched objective for :func:`multistart_maximize`, if available.
+def uses_grid(allocation, n_users: int) -> bool:
+    """Whether best responses in an ``n_users`` game take the grid path.
 
     In ``auto`` mode the discipline's
     :attr:`~repro.disciplines.base.AllocationFunction.grid_min_users`
     cost hint arbitrates: below that population the scalar scan beats
     the grid's fixed numpy overhead (FIFO's scalar objective is a
-    single ``sum``), so the call returns ``None`` and the maximizer
-    takes the scalar path — same bracket, same result, less time.
+    single ``sum``), so the scalar path is taken — same bracket, same
+    result, less time.
     """
     solver_mode = instrumentation.mode()
     if solver_mode == "off":
-        return None
+        return False
     if not getattr(allocation, "vectorized_grid", False):
-        return None
-    if (solver_mode == "auto"
-            and rates.size < getattr(allocation, "grid_min_users", 0)):
+        return False
+    return not (solver_mode == "auto"
+                and n_users < getattr(allocation, "grid_min_users", 0))
+
+
+def _grid_objective(allocation, utility: Utility, rates: np.ndarray,
+                    i: int) -> Optional[GridFunc]:
+    """Batched objective for :func:`multistart_maximize`, if available
+    (``None`` off the grid path, see :func:`uses_grid`)."""
+    if not uses_grid(allocation, rates.size):
         return None
     # One evaluator per best response: the opponent-side precomputation
     # (sort, ladder, prefix sums) is shared by every grid-zoom round.
@@ -134,6 +142,104 @@ def best_response_map(allocation, profile: Sequence[Utility],
     return out
 
 
+def _grid_objective_rows(allocation, utilities: Sequence[Utility],
+                         rates: np.ndarray, i: int) -> Optional[RowGridFunc]:
+    """Row-wise batched objective: user ``i`` in every problem at once.
+
+    ``None`` when the row evaluator cannot be prepared; the caller then
+    solves each row on its own, where the same error surfaces (or not)
+    exactly as in a lone :func:`best_response`.
+    """
+    try:
+        evaluator = allocation.grid_evaluator_rows(rates.copy(), i)
+    except (ArithmeticError, ValueError, TypeError, IndexError,
+            AttributeError):
+        return None
+
+    def grid(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return value_grid_rows([utilities[k] for k in rows.tolist()], xs,
+                               evaluator(rows, xs))
+
+    return grid
+
+
+def best_response_rows(allocation, utilities: Sequence[Utility],
+                       rates: np.ndarray, i: int,
+                       r_max: Optional[float] = None, n_scan: int = 65,
+                       tol: float = 1e-11) -> List[ScalarMaxResult]:
+    """:func:`best_response` for user ``i`` in S independent problems.
+
+    Row ``k`` of the ``(S, n)`` ``rates`` and ``utilities[k]`` form
+    problem ``k``; result ``k`` equals ``best_response(allocation,
+    utilities[k], rates[k], i)`` bit for bit, and the solver counters
+    grow by exactly what those S calls record.  On the grid path one
+    row evaluator and one utility evaluation per zoom round serve
+    every problem
+    (:func:`~repro.numerics.optimize.grid_multistart_maximize_rows`);
+    a row whose objective raises is re-solved by :func:`best_response`.
+    A single row, or any problem off the grid path, goes straight to
+    :func:`best_response`.
+    """
+    r = np.asarray(rates, dtype=float)
+    n_rows = r.shape[0]
+    results: List[Optional[ScalarMaxResult]] = [None] * n_rows
+    grid = (_grid_objective_rows(allocation, utilities, r, i)
+            if n_rows > 1 and uses_grid(allocation, r.shape[1]) else None)
+    if grid is not None:
+        hi = _default_rate_cap(allocation) if r_max is None else float(r_max)
+        # greedwork: ignore[GW502] -- diagnostic wall time only.
+        start = time.perf_counter()
+        results = grid_multistart_maximize_rows(
+            grid, np.full(n_rows, MIN_RATE), np.full(n_rows, hi),
+            n_scan=n_scan, tol=tol)
+        solved = [result for result in results if result is not None]
+        evals = sum(result.evaluations for result in solved)
+        instrumentation.record(
+            objective_evals=evals, congestion_evals=evals,
+            grid_calls=sum(result.grid_calls for result in solved),
+            # greedwork: ignore[GW502] -- diagnostic wall time only.
+            wall_time=time.perf_counter() - start)
+    return [best_response(allocation, utilities[k], r[k], i, r_max=r_max,
+                          n_scan=n_scan, tol=tol)
+            if result is None else result
+            for k, result in enumerate(results)]
+
+
+def best_response_map_rows(allocation,
+                           profiles: Sequence[Sequence[Utility]],
+                           rates: np.ndarray,
+                           r_max: Optional[float] = None,
+                           n_scan: int = 65,
+                           tol: float = 1e-11) -> np.ndarray:
+    """:func:`best_response_map` for S independent problems in lockstep.
+
+    Row ``k`` of the ``(S, n)`` result equals
+    ``best_response_map(allocation, profiles[k], rates[k])`` bit for
+    bit; each user's S best responses are one
+    :func:`best_response_rows` call.  A single row goes straight to
+    :func:`best_response_map`, which is cheaper than a batch of one.
+    """
+    r = np.asarray(rates, dtype=float)
+    if r.ndim != 2 or len(profiles) != r.shape[0]:
+        raise ValueError(
+            f"expected {len(profiles)} rate rows, got shape {r.shape}")
+    for profile in profiles:
+        if len(profile) != r.shape[1]:
+            raise ValueError(f"profile has {len(profile)} utilities for "
+                             f"{r.shape[1]} rates")
+    if r.shape[0] == 1:
+        return best_response_map(allocation, profiles[0], r[0],
+                                 r_max=r_max, n_scan=n_scan,
+                                 tol=tol)[None, :]
+    out = np.empty_like(r)
+    for i in range(r.shape[1]):
+        results = best_response_rows(
+            allocation, [profile[i] for profile in profiles], r, i,
+            r_max=r_max, n_scan=n_scan, tol=tol)
+        out[:, i] = [result.x for result in results]
+    return out
+
+
 def utility_improvement(allocation, utility: Utility,
                         rates: Sequence[float], i: int,
                         r_max: Optional[float] = None) -> float:
@@ -145,10 +251,25 @@ def utility_improvement(allocation, utility: Utility,
     tracker, so ``is_nash``/certification cost shows up in experiment
     reports rather than being invisible.
     """
+    r = np.asarray(rates, dtype=float)[None, :]
+    return utility_improvement_rows(allocation, [utility], r, i,
+                                    r_max=r_max)[0]
+
+
+def utility_improvement_rows(allocation, utilities: Sequence[Utility],
+                             rates: np.ndarray, i: int,
+                             r_max: Optional[float] = None) -> List[float]:
+    """:func:`utility_improvement` for user ``i`` in S problems at once.
+
+    Row ``k`` of ``rates`` and ``utilities[k]`` form problem ``k``; the
+    S best responses are one :func:`best_response_rows` call.
+    """
     r = np.asarray(rates, dtype=float)
-    current = utility.value(float(r[i]), allocation.congestion_i(r, i))
-    instrumentation.record(objective_evals=1, congestion_evals=1)
-    best = best_response(allocation, utility, r, i, r_max=r_max)
-    if math.isinf(current) and math.isinf(best.value):
-        return 0.0
-    return best.value - current
+    current = [utility.value(float(row[i]), allocation.congestion_i(row, i))
+               for utility, row in zip(utilities, r)]
+    instrumentation.record(objective_evals=len(current),
+                           congestion_evals=len(current))
+    best = best_response_rows(allocation, utilities, r, i, r_max=r_max)
+    return [0.0 if math.isinf(value) and math.isinf(result.value)
+            else result.value - value
+            for value, result in zip(current, best)]

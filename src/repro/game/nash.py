@@ -26,10 +26,12 @@ from scipy import optimize as sp_optimize
 
 from repro.game.best_response import (
     best_response_map,
-    utility_improvement,
+    best_response_map_rows,
+    uses_grid,
+    utility_improvement_rows,
 )
 from repro.game.classes import ClassProfile, detect_classes
-from repro.numerics.iterate import damped_fixed_point
+from repro.numerics.iterate import damped_fixed_point, damped_fixed_point_rows
 from repro.numerics.rng import default_rng
 from repro.users.utility import Utility
 
@@ -76,24 +78,47 @@ class NashResult:
         return self.max_gain <= tol
 
 
+def _certify_many(allocation, profiles: Sequence[Sequence[Utility]],
+                  rates: np.ndarray) -> List[float]:
+    """Max unilateral gain over all users, for each row of ``rates``
+    (equilibrium certificates); each user's rows are one batch."""
+    r = np.asarray(rates, dtype=float)
+    per_user = [utility_improvement_rows(
+        allocation, [profile[i] for profile in profiles], r, i)
+        for i in range(len(profiles[0]))]
+    return [float(max(gains)) for gains in zip(*per_user)]
+
+
 def _certify(allocation, profile: Sequence[Utility],
              rates: np.ndarray) -> float:
     """Max unilateral gain over all users (equilibrium certificate)."""
-    gains = [utility_improvement(allocation, u, rates, i)
-             for i, u in enumerate(profile)]
-    return float(max(gains))
+    return _certify_many(allocation, [profile],
+                         np.asarray(rates, dtype=float)[None, :])[0]
+
+
+def _package_many(allocation, profiles: Sequence[Sequence[Utility]],
+                  rates: Sequence[np.ndarray], converged: Sequence[bool],
+                  iterations: Sequence[int],
+                  method: str) -> List[NashResult]:
+    gains = _certify_many(allocation, profiles, np.array(rates, dtype=float))
+    results = []
+    for profile, x, ok, count, gain in zip(profiles, rates, converged,
+                                           iterations, gains):
+        congestion = allocation.congestion(x)
+        utilities = np.array([u.value(float(x[i]), float(congestion[i]))
+                              for i, u in enumerate(profile)])
+        results.append(NashResult(rates=np.asarray(x, dtype=float),
+                                  congestion=congestion,
+                                  utilities=utilities, converged=ok,
+                                  iterations=count, max_gain=gain,
+                                  method=method))
+    return results
 
 
 def _package(allocation, profile: Sequence[Utility], rates: np.ndarray,
              converged: bool, iterations: int, method: str) -> NashResult:
-    congestion = allocation.congestion(rates)
-    utilities = np.array([u.value(float(rates[i]), float(congestion[i]))
-                          for i, u in enumerate(profile)])
-    return NashResult(rates=np.asarray(rates, dtype=float),
-                      congestion=congestion, utilities=utilities,
-                      converged=converged, iterations=iterations,
-                      max_gain=_certify(allocation, profile, rates),
-                      method=method)
+    return _package_many(allocation, [profile], [rates], [converged],
+                         [iterations], method)[0]
 
 
 def default_start(n_users: int, allocation=None) -> np.ndarray:
@@ -123,6 +148,49 @@ def solve_nash(allocation, profile: Sequence[Utility],
                                  max_iter=max_iter)
     return _package(allocation, profile, outcome.x, outcome.converged,
                     outcome.iterations, method="best-response")
+
+
+def solve_nash_many(allocation, profiles: Sequence[Sequence[Utility]],
+                    starts: Sequence[Optional[Sequence[float]]],
+                    damping: float = 0.5, tol: float = 1e-9,
+                    max_iter: int = 400) -> List[NashResult]:
+    """Independent :func:`solve_nash` problems, solved in lockstep.
+
+    Problem ``k`` is ``solve_nash(allocation, profiles[k],
+    r0=starts[k])`` and result ``k`` equals it on every field, bit for
+    bit.  On the grid path the damped iterations advance together
+    (:func:`~repro.numerics.iterate.damped_fixed_point_rows`) and each
+    round's best responses are one row-batched map
+    (:func:`~repro.game.best_response.best_response_map_rows`), so the
+    fixed numpy cost of a zoom round is paid once for all problems.
+    Off the grid path, where there is nothing to share, the problems
+    are solved one by one.  All profiles must have the same length.
+    """
+    if len(profiles) != len(starts):
+        raise ValueError(
+            f"{len(profiles)} profiles but {len(starts)} starts")
+    sizes = {len(profile) for profile in profiles}
+    if len(sizes) > 1:
+        raise ValueError(f"profiles differ in length: {sorted(sizes)}")
+    if not profiles or not uses_grid(allocation, sizes.pop()):
+        return [solve_nash(allocation, profile, r0=start, damping=damping,
+                           tol=tol, max_iter=max_iter)
+                for profile, start in zip(profiles, starts)]
+    x0 = np.array([default_start(len(profile), allocation) if start is None
+                   else np.asarray(start, dtype=float)
+                   for profile, start in zip(profiles, starts)])
+
+    def mapping(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return best_response_map_rows(
+            allocation, [profiles[k] for k in rows.tolist()], x)
+
+    outcomes = damped_fixed_point_rows(mapping, x0, damping=damping,
+                                       tol=tol, max_iter=max_iter)
+    return _package_many(allocation, profiles,
+                         [outcome.x for outcome in outcomes],
+                         [outcome.converged for outcome in outcomes],
+                         [outcome.iterations for outcome in outcomes],
+                         method="best-response")
 
 
 def solve_nash_fdc(allocation, profile: Sequence[Utility],
@@ -197,7 +265,8 @@ def find_all_nash(allocation, profile: Sequence[Utility],
     """Multistart equilibrium search with clustering.
 
     Runs damped best-response iteration from ``n_starts`` random
-    interior points, keeps runs that certify as equilibria, and merges
+    interior points (together, via :func:`solve_nash_many`), keeps
+    runs that certify as equilibria, and merges
     points closer than ``distinct_tol`` in sup norm.  Returns the
     distinct equilibria found (possibly empty if nothing certified).
 
@@ -221,17 +290,22 @@ def find_all_nash(allocation, profile: Sequence[Utility],
         grouping = detect_classes(profile)
         if grouping.n_classes >= n:
             grouping = None         # no symmetry to exploit
-    found: List[NashResult] = []
     alpha = np.ones(n)
-    for trial in range(n_starts):
+    starts = []
+    for _ in range(n_starts):
         if grouping is not None:
-            start = _class_seeded_start(generator, grouping, max_total)
+            starts.append(_class_seeded_start(generator, grouping,
+                                              max_total))
         else:
             direction = generator.dirichlet(alpha)
             load = generator.uniform(0.05, max_total)
-            start = direction * load
-        result = solve_nash(allocation, profile, r0=start,
-                            max_iter=max_iter)
+            starts.append(direction * load)
+    # Solves draw nothing, so drawing every start first leaves the
+    # generator sequence unchanged.
+    results = solve_nash_many(allocation, [profile] * n_starts, starts,
+                              max_iter=max_iter)
+    found: List[NashResult] = []
+    for result in results:
         if not result.is_equilibrium(gain_tol):
             continue
         duplicate = any(

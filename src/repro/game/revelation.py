@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import MechanismError
-from repro.game.nash import solve_nash
+from repro.game.nash import solve_nash, solve_nash_many
 from repro.users.utility import Utility
 
 
@@ -98,18 +98,21 @@ def misreport_gain(allocation, true_profile: Sequence[Utility], i: int,
             f"{len(reported_others)}")
     others = (list(true_profile) if reported_others is None
               else list(reported_others))
-    truth_reports = list(others)
-    truth_reports[i] = true_profile[i]
-    truthful = nash_mechanism(allocation, truth_reports)
+    # The truthful report and every lie are independent B(reported)
+    # solves from the default start: one lockstep batch.
+    report_sets = []
+    for report in [true_profile[i], *candidate_reports]:
+        reports = list(others)
+        reports[i] = report
+        report_sets.append(reports)
+    truthful, *outcomes = solve_nash_many(allocation, report_sets,
+                                          [None] * len(report_sets))
     true_u = true_profile[i]
     truthful_value = true_u.value(float(truthful.rates[i]),
                                   float(truthful.congestion[i]))
     best_value = truthful_value
     best_index = -1
-    for k, lie in enumerate(candidate_reports):
-        reports = list(others)
-        reports[i] = lie
-        outcome = nash_mechanism(allocation, reports)
+    for k, outcome in enumerate(outcomes):
         value = true_u.value(float(outcome.rates[i]),
                              float(outcome.congestion[i]))
         if value > best_value:

@@ -9,7 +9,7 @@ residual stalls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,20 @@ class FixedPointResult:
     iterations: int
     residual: float
     history: Optional[np.ndarray] = None
+
+
+def _adapt_damping(residual: float, last_residual: float, stall: int,
+                   d: float) -> Tuple[int, float]:
+    """Halve ``d`` after three residuals in a row that fail to shrink.
+
+    Returns the updated ``(stall, d)``; ``d`` never drops below 1/64.
+    """
+    if residual >= last_residual * 0.999:
+        stall += 1
+        if stall >= 3 and d > 1.0 / 64.0:
+            return 0, d * 0.5
+        return stall, d
+    return 0, d
 
 
 def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
@@ -89,13 +103,7 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
                                     iterations=iteration,
                                     residual=residual, history=history)
         if adapt:
-            if residual >= last_residual * 0.999:
-                stall += 1
-                if stall >= 3 and d > 1.0 / 64.0:
-                    d *= 0.5
-                    stall = 0
-            else:
-                stall = 0
+            stall, d = _adapt_damping(residual, last_residual, stall, d)
         last_residual = residual
         x = (1.0 - d) * x + d * target
     if raise_on_failure:
@@ -106,3 +114,59 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
     history = np.array(trail) if record else None
     return FixedPointResult(x=x, converged=False, iterations=max_iter,
                             residual=residual, history=history)
+
+
+def damped_fixed_point_rows(mapping: Callable[[np.ndarray, np.ndarray],
+                                              np.ndarray],
+                            x0: np.ndarray,
+                            damping: float = 0.5,
+                            tol: float = 1e-10,
+                            max_iter: int = 500,
+                            adapt: bool = True) -> List[FixedPointResult]:
+    """S independent :func:`damped_fixed_point` iterations in lockstep.
+
+    Row ``k`` of ``x0`` starts problem ``k``; ``mapping(rows, x)``
+    returns the targets ``B_k(x[j])`` for ``k = rows[j]``.  Each row
+    keeps its own damping, stall count and last residual, and retires
+    on convergence or at ``max_iter``, so result ``k`` equals
+    ``damped_fixed_point`` on problem ``k`` alone, bit for bit.  Only
+    the rows still iterating are passed to ``mapping``.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    x = np.array(x0, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x0 must be 2-D (rows, dim), got {x.shape}")
+    n_rows = x.shape[0]
+    d = [damping] * n_rows
+    last_residual = [np.inf] * n_rows
+    stall = [0] * n_rows
+    residual = [np.inf] * n_rows
+    results: List[Optional[FixedPointResult]] = [None] * n_rows
+    active = list(range(n_rows))
+    for iteration in range(1, max_iter + 1):
+        if not active:
+            break
+        rows = np.array(active)
+        targets = np.asarray(mapping(rows, x[rows]), dtype=float)
+        gaps = np.max(np.abs(targets - x[rows]), axis=1)
+        still = []
+        for j, k in enumerate(active):
+            residual[k] = float(gaps[j])
+            if residual[k] < tol:
+                results[k] = FixedPointResult(x=x[k].copy(), converged=True,
+                                              iterations=iteration,
+                                              residual=residual[k])
+                continue
+            if adapt:
+                stall[k], d[k] = _adapt_damping(residual[k], last_residual[k],
+                                                stall[k], d[k])
+            last_residual[k] = residual[k]
+            x[k] = (1.0 - d[k]) * x[k] + d[k] * targets[j]
+            still.append(k)
+        active = still
+    for k in active:
+        results[k] = FixedPointResult(x=x[k].copy(), converged=False,
+                                      iterations=max_iter,
+                                      residual=residual[k])
+    return [result for result in results if result is not None]

@@ -15,7 +15,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,11 @@ INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0       # 1/phi^2
 
 #: A batched objective: maps an array of candidates to their values.
 GridFunc = Callable[[np.ndarray], np.ndarray]
+
+#: A row-wise batched objective: ``(rows, xs) -> ys`` where ``rows``
+#: indexes the independent problems and ``xs[j]`` is row ``rows[j]``'s
+#: candidate grid.
+RowGridFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -154,6 +159,25 @@ def linspace(lo: float, hi: float, num: int) -> np.ndarray:
     return grid
 
 
+def linspace_rows(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    """Row ``k`` is :func:`linspace` ``(lo[k], hi[k], num)`` bit for bit.
+
+    The same float64 steps on the cached ramp, one row per bracket;
+    rows whose step underflows take numpy's zero-step branch on their
+    own.
+    """
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    grid = _ramp(num) * step[:, None]
+    zero = step == 0
+    if zero.any():
+        grid[zero] = _ramp(num) / div * delta[zero, None]
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
+
+
 #: Points per refinement round of the batched zoom (bracket shrinks by
 #: ``2 / (GRID_REFINE_POINTS - 1)`` = 16x per round).
 GRID_REFINE_POINTS = 33
@@ -206,6 +230,101 @@ def grid_multistart_maximize(grid_func: GridFunc, lo: float, hi: float,
         width = new_width
     return ScalarMaxResult(x=best_x, value=best_y, evaluations=evals,
                            grid_calls=calls)
+
+
+#: Errors a batched objective may raise.  The one-problem path maps the
+#: first four to an all ``-inf`` grid and falls back to the scalar scan
+#: on the last three; a row that raises any of them leaves the lockstep
+#: zoom and is re-solved on that one-problem path.
+_GRID_ERRORS = (OverflowError, ZeroDivisionError, ValueError,
+                FloatingPointError, TypeError, IndexError, AttributeError)
+
+
+def _safe_grid_rows(grid_rows: RowGridFunc, rows: np.ndarray,
+                    xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Evaluate a row batch; returns ``(ys, failed)``.
+
+    NaNs become ``-inf``.  When the batched call raises, each row is
+    evaluated alone so the error is pinned on the rows that cause it;
+    ``failed`` marks them and their ``ys`` are ``-inf``.
+    """
+    failed = np.zeros(rows.size, dtype=bool)
+    try:
+        ys = np.asarray(grid_rows(rows, xs), dtype=float)
+        if ys.shape != xs.shape:
+            raise ValueError(
+                f"grid objective returned shape {ys.shape} for {xs.shape}")
+    except _GRID_ERRORS:
+        ys = np.full(xs.shape, -math.inf)
+        for j in range(rows.size):
+            try:
+                row = np.asarray(grid_rows(rows[j:j + 1], xs[j:j + 1]),
+                                 dtype=float)
+                if row.shape != (1, xs.shape[1]):
+                    raise ValueError("grid objective changed shape")
+            except _GRID_ERRORS:
+                failed[j] = True
+                continue
+            ys[j] = row[0]
+    return np.where(np.isnan(ys), -math.inf, ys), failed
+
+
+def grid_multistart_maximize_rows(grid_rows: RowGridFunc, lo: np.ndarray,
+                                  hi: np.ndarray, n_scan: int = 33,
+                                  tol: float = 1e-10
+                                  ) -> List[Optional[ScalarMaxResult]]:
+    """:func:`grid_multistart_maximize` on S independent problems at once.
+
+    Row ``k`` maximizes ``grid_rows`` on ``[lo[k], hi[k]]`` and its
+    result equals ``grid_multistart_maximize`` on that row alone, bit
+    for bit: each row keeps its own bracket, incumbent and width, and
+    leaves the zoom when its width falls under ``tol`` or hits the
+    float-resolution floor.  Only the rows still zooming are
+    evaluated, in one ``grid_rows`` call per round.  A row whose
+    objective raises gets ``None``; the caller re-solves it alone.
+    """
+    if n_scan < 3:
+        raise ValueError("n_scan must be at least 3")
+    lo_arr = np.asarray(lo, dtype=float)
+    hi_arr = np.asarray(hi, dtype=float)
+    lo_arr, hi_arr = np.minimum(lo_arr, hi_arr), np.maximum(lo_arr, hi_arr)
+    n_rows = lo_arr.size
+    rows = np.arange(n_rows)
+    xs = linspace_rows(lo_arr, hi_arr, n_scan)
+    ys, failed = _safe_grid_rows(grid_rows, rows, xs)
+    evals = np.full(n_rows, n_scan)
+    calls = np.ones(n_rows, dtype=int)
+    best = np.argmax(ys, axis=1)
+    best_x = xs[rows, best]
+    best_y = ys[rows, best]
+    left = xs[rows, np.maximum(best - 1, 0)]
+    right = xs[rows, np.minimum(best + 1, n_scan - 1)]
+    width = right - left
+    active = rows[~failed & (width > tol)]
+    last = GRID_REFINE_POINTS - 1
+    while active.size:
+        xs = linspace_rows(left[active], right[active], GRID_REFINE_POINTS)
+        ys, bad = _safe_grid_rows(grid_rows, active, xs)
+        failed[active[bad]] = True
+        evals[active] += GRID_REFINE_POINTS
+        calls[active] += 1
+        local = np.arange(active.size)
+        best = np.argmax(ys, axis=1)
+        top = ys[local, best]
+        better = top > best_y[active]
+        best_x[active[better]] = xs[local, best][better]
+        best_y[active[better]] = top[better]
+        left[active] = xs[local, np.maximum(best - 1, 0)]
+        right[active] = xs[local, np.minimum(best + 1, last)]
+        new_width = right[active] - left[active]
+        shrunk = ~bad & (new_width < width[active])
+        width[active[shrunk]] = new_width[shrunk]
+        active = active[shrunk & (new_width > tol)]
+    return [None if failed[k] else
+            ScalarMaxResult(x=float(best_x[k]), value=float(best_y[k]),
+                            evaluations=int(evals[k]),
+                            grid_calls=int(calls[k]))
+            for k in range(n_rows)]
 
 
 def multistart_maximize(func: Callable[[float], float], lo: float, hi: float,

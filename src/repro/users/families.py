@@ -24,7 +24,7 @@ reading is therefore concave (see
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -125,6 +125,37 @@ class ExponentialUtility(Utility):
             out[ok] = r_term - (self.gamma ** 2 / self.nu) * np.exp(
                 exponent[ok])
         return out
+
+    @classmethod
+    def stacked_value_grid(cls, utilities: Sequence[Utility],
+                           rs: np.ndarray,
+                           cs: np.ndarray) -> Optional[np.ndarray]:
+        """:meth:`value_grid` with one coefficient column per row.
+
+        Each coefficient is formed exactly as :meth:`value_grid` forms
+        it (Python floats) and broadcast along its row, so every
+        element sees the same float operations as the per-row call.
+        Elements are computed on the whole batch and the
+        exp-overflow guard selects afterwards, which leaves the
+        selected elements unchanged.
+        """
+        r = np.asarray(rs, dtype=float)
+        c = np.asarray(cs, dtype=float)
+
+        def column(values) -> np.ndarray:
+            return np.array(values, dtype=float)[:, None]
+
+        exponent = np.where(
+            np.isinf(c), math.inf,
+            column([u.nu / u.gamma for u in utilities])
+            * (c - column([u.c_ref for u in utilities])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_term = column([-(u.alpha ** 2 / u.beta) for u in utilities]) \
+                * np.exp(column([-(u.beta / u.alpha) for u in utilities])
+                         * (r - column([u.r_ref for u in utilities])))
+            values = r_term - column([u.gamma ** 2 / u.nu
+                                      for u in utilities]) * np.exp(exponent)
+        return np.where(exponent <= 700.0, values, -math.inf)
 
     def du_dr(self, r: float, c: float) -> float:
         return self.alpha * math.exp(

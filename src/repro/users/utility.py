@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,15 +48,30 @@ class Utility(ABC):
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`value` over aligned rate/congestion arrays.
 
-        The default loops over the points (bit-identical to scalar
-        calls); the closed-form families override it with one numpy
-        pass so batched solvers stay batched end to end.
+        Arrays of any shape are accepted and the result has that
+        shape.  The default loops over the points (bit-identical to
+        scalar calls); the closed-form families override it with one
+        numpy pass so batched solvers stay batched end to end.
         """
         r_arr = np.asarray(rs, dtype=float)
         c_arr = np.asarray(cs, dtype=float)
-        return np.asarray(
-            [self.value(r, c)
-             for r, c in zip(r_arr.tolist(), c_arr.tolist())], dtype=float)
+        flat = [self.value(r, c) for r, c in
+                zip(r_arr.ravel().tolist(), c_arr.ravel().tolist())]
+        return np.asarray(flat, dtype=float).reshape(r_arr.shape)
+
+    @classmethod
+    def stacked_value_grid(cls, utilities: Sequence["Utility"],
+                           rs: np.ndarray,
+                           cs: np.ndarray) -> Optional[np.ndarray]:
+        """Row ``k`` is ``utilities[k].value_grid(rs[k], cs[k])``, or ``None``.
+
+        A hook for families whose members differ only in coefficients:
+        they evaluate a whole ``(S, G)`` batch of distinct members in
+        one pass with per-row coefficient columns.  ``utilities`` are
+        all of exactly this class.  The default declines, and
+        :func:`value_grid_rows` groups the rows by utility object.
+        """
+        return None
 
     # -- derivatives -----------------------------------------------------
 
@@ -96,6 +111,36 @@ class Utility(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
+
+
+def value_grid_rows(utilities: Sequence[Utility], rs: np.ndarray,
+                    cs: np.ndarray) -> np.ndarray:
+    """Row ``k`` is ``utilities[k].value_grid(rs[k], cs[k])``.
+
+    ``rs`` and ``cs`` are ``(S, G)`` arrays, one row per problem.
+
+    Rows sharing one utility object are evaluated in one ``value_grid``
+    call on their ``(S', G)`` slice; a batch of distinct members of one
+    family goes through its :meth:`Utility.stacked_value_grid` when the
+    family provides one.  Elementwise evaluation makes every path
+    bit-identical to the per-row calls.
+    """
+    first = utilities[0]
+    if all(u is first for u in utilities):
+        return first.value_grid(rs, cs)
+    family = type(first)
+    if all(type(u) is family for u in utilities):
+        stacked = family.stacked_value_grid(utilities, rs, cs)
+        if stacked is not None:
+            return stacked
+    groups: Dict[int, List[int]] = {}
+    for k, utility in enumerate(utilities):
+        groups.setdefault(id(utility), []).append(k)
+    out = np.empty(np.shape(rs))
+    for members in groups.values():
+        out[members] = utilities[members[0]].value_grid(rs[members],
+                                                        cs[members])
+    return out
 
 
 @dataclass

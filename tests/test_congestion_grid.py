@@ -312,8 +312,8 @@ class TestNetworkGridPath:
 
 class TestGridContract:
     """``vectorized_grid`` is a promise the solvers act on: the game
-    layer calls ``grid_evaluator`` and ``congestion_many`` on every
-    allocation that sets it."""
+    layer calls ``grid_evaluator``, ``grid_evaluator_rows`` and
+    ``congestion_many`` on every allocation that sets it."""
 
     @pytest.mark.parametrize("allocation", [
         *(make_discipline(name) for name in ALL_NAMES),
@@ -328,3 +328,6 @@ class TestGridContract:
         assert allocation.grid_evaluator(rates, 0)(xs).shape == xs.shape
         batch = np.stack([rates, rates / 2.0])
         assert allocation.congestion_many(batch).shape == batch.shape
+        grids = np.stack([xs, xs / 2.0])
+        rows = allocation.grid_evaluator_rows(batch, 0)(np.arange(2), grids)
+        assert rows.shape == grids.shape

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConvergenceError
-from repro.numerics.iterate import damped_fixed_point
+from repro.numerics.iterate import damped_fixed_point, damped_fixed_point_rows
 
 
 class TestDampedFixedPoint:
@@ -74,3 +74,55 @@ class TestDampedFixedPoint:
         result = damped_fixed_point(lambda x: x.copy(), np.array([3.0]))
         assert result.converged
         assert result.iterations == 1
+
+
+class TestDampedFixedPointRows:
+    """Row ``k`` equals a lone ``damped_fixed_point`` on problem ``k``."""
+
+    @staticmethod
+    def maps(slopes):
+        slopes = np.asarray(slopes, dtype=float)
+
+        def rows_map(rows, x):
+            return -slopes[rows, None] * x + 1.0 + 0.1 * np.sin(3.0 * x)
+
+        def row_map(k):
+            return lambda x: rows_map(np.array([k]), x[None, :])[0]
+
+        return rows_map, row_map
+
+    def test_rows_match_lone_iterations(self):
+        # Contractions converge at different iterations; the steep,
+        # oscillating rows exercise damping halving and max_iter.
+        slopes = [0.2, 0.9, 1.5, 3.0, 0.5]
+        rows_map, row_map = self.maps(slopes)
+        x0 = np.linspace(0.0, 2.0, 10).reshape(5, 2)
+        results = damped_fixed_point_rows(rows_map, x0, damping=0.8,
+                                          tol=1e-10, max_iter=60)
+        for k, result in enumerate(results):
+            want = damped_fixed_point(row_map(k), x0[k], damping=0.8,
+                                      tol=1e-10, max_iter=60)
+            assert result.x.tobytes() == want.x.tobytes()
+            assert result.iterations == want.iterations
+            assert result.converged == want.converged
+            assert result.residual == want.residual
+        assert len({result.iterations for result in results}) > 2
+        assert not all(result.converged for result in results)
+
+    def test_only_active_rows_are_mapped(self):
+        seen = []
+
+        def rows_map(rows, x):
+            seen.append(rows.tolist())
+            return np.where(rows[:, None] == 0, x, 0.5 * x + 1.0)
+
+        damped_fixed_point_rows(rows_map, np.zeros((2, 1)), damping=1.0)
+        assert seen[0] == [0, 1]
+        assert all(rows == [1] for rows in seen[1:])
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="damping"):
+            damped_fixed_point_rows(lambda rows, x: x, np.zeros((1, 1)),
+                                    damping=0.0)
+        with pytest.raises(ValueError, match="2-D"):
+            damped_fixed_point_rows(lambda rows, x: x, np.zeros(3))

@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import UtilityDomainError
 from repro.users.families import (
     BiconvexUtility,
+    DelayBasedUtility,
     ExponentialUtility,
     LinearUtility,
     MonotoneTransformedUtility,
@@ -197,3 +199,22 @@ class TestEnvyHelpers:
         u = LinearUtility(gamma=1.0)
         assert u.envies(own=(0.1, 0.5), other=(0.4, 0.5))
         assert not u.envies(own=(0.4, 0.5), other=(0.1, 0.5))
+
+
+class TestDefaultValueGrid:
+    """The point-loop ``value_grid`` default keeps the input's shape."""
+
+    @pytest.mark.parametrize("utility", [
+        DelayBasedUtility(PowerUtility(gamma=0.5, q=1.2)),
+        MonotoneTransformedUtility(LinearUtility(gamma=0.4), math.atan),
+    ])
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 2, 3)])
+    def test_matches_scalar_values(self, utility, shape):
+        rs = np.linspace(0.01, 0.9, int(np.prod(shape))).reshape(shape)
+        cs = np.linspace(0.0, 3.0, rs.size).reshape(shape)
+        cs.flat[1] = math.inf
+        got = utility.value_grid(rs, cs)
+        assert got.shape == shape
+        want = [utility.value(r, c)
+                for r, c in zip(rs.ravel().tolist(), cs.ravel().tolist())]
+        assert got.ravel().tolist() == want
