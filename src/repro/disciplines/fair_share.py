@@ -38,11 +38,6 @@ import numpy as np
 from repro.disciplines.base import (AllocationFunction, GridEvaluator,
                                     RowGridEvaluator, check_classes)
 
-#: Opponent count up to which :meth:`FairShareAllocation.grid_evaluator_rows`
-#: finds insertion positions with one broadcast comparison; longer
-#: ladders use a ``searchsorted`` per row.
-_BROADCAST_LADDER_MAX = 64
-
 
 class FairShareAllocation(AllocationFunction):
     """Fair Share / serial cost sharing on a convex service curve."""
@@ -223,13 +218,8 @@ class FairShareAllocation(AllocationFunction):
             cand = np.asarray(xs, dtype=float)
             if cand.size and float(cand.min()) < 0.0:
                 raise ValueError("rates must be nonnegative")
-            ladder = s[rows]
-            if m <= _BROADCAST_LADDER_MAX:
-                p = np.count_nonzero(ladder[:, None, :] < cand[:, :, None],
-                                     axis=2)
-            else:
-                p = np.stack([np.searchsorted(row, grid, side="left")
-                              for row, grid in zip(ladder, cand)])
+            p = np.count_nonzero(s[rows][:, None, :] < cand[:, :, None],
+                                 axis=2)
             at = (rows[:, None], p)
             own_loads = (n - p) * cand + prefix[at]
             out = np.full(cand.shape, math.inf)

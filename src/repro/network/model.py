@@ -31,8 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    RowGridEvaluator)
+from repro.disciplines.base import AllocationFunction, GridEvaluator
 from repro.exceptions import DisciplineError
 
 
@@ -180,28 +179,6 @@ class NetworkAllocation(AllocationFunction):
             total = np.zeros(cand.shape)
             for hop, speed in hops:
                 total += hop(cand / speed)
-            return total
-
-        return evaluate
-
-    def grid_evaluator_rows(self, rates: np.ndarray, i: int
-                            ) -> RowGridEvaluator:
-        """Row form of :meth:`grid_evaluator`: each hop is its switch's
-        row evaluator, summed in the same order."""
-        r = np.asarray(rates, dtype=float)
-        hops = []
-        for alpha in sorted(self.routes[i]):
-            members = self.members[alpha]
-            speed = self.speeds[alpha]
-            local = int(np.nonzero(members == i)[0][0])
-            hops.append((self.switches[alpha].grid_evaluator_rows(
-                r[:, members] / speed, local), speed))
-
-        def evaluate(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            total = np.zeros(cand.shape)
-            for hop, speed in hops:
-                total += hop(rows, cand / speed)
             return total
 
         return evaluate

@@ -347,7 +347,7 @@ class TestRowEvaluators:
 
     @pytest.mark.parametrize("n_users", [20, 80])
     def test_long_ladders(self, n_users):
-        """Pairwise-summed opponent totals; per-row ``searchsorted``."""
+        """Pairwise-summed opponent totals; long Fair Share ladders."""
         generator = default_rng(n_users)
         rates = generator.dirichlet(np.ones(n_users), size=3) * \
             np.array([[0.5], [0.9], [1.3]])
