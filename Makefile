@@ -88,7 +88,7 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .benchmarks \
-		.greedwork_cache greedwork.sarif BENCH_sim.json \
+		.greedwork_cache greedwork.sarif \
 		BENCH_solver.json BENCH_staticcheck.json BENCH_sweep.json \
 		sweep_report.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

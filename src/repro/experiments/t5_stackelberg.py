@@ -23,6 +23,7 @@ from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.proportional import ProportionalAllocation
 from repro.experiments.base import ExperimentReport, Table
 from repro.game.learning import iterated_elimination
+from repro.game.nash import solve_nash
 from repro.game.stackelberg import leader_advantage
 from repro.game.witnesses import witness_profile
 from repro.users.families import LinearUtility
@@ -53,10 +54,14 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
     fifo_gains = False
     fs_flat = True
     for label, profile in cases:
+        # Every leader commits against the same full-game equilibrium.
+        fifo_nash = solve_nash(fifo, profile)
+        fs_nash = solve_nash(fs, profile)
         for leader in range(len(profile)):
             fifo_adv = leader_advantage(fifo, profile, leader,
-                                        n_scan=n_scan)
-            fs_adv = leader_advantage(fs, profile, leader, n_scan=n_scan)
+                                        nash=fifo_nash, n_scan=n_scan)
+            fs_adv = leader_advantage(fs, profile, leader, nash=fs_nash,
+                                      n_scan=n_scan)
             lead_table.add_row(label, leader, fifo_adv, fs_adv)
             if fifo_adv > 1e-4:
                 fifo_gains = True

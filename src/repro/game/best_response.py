@@ -13,13 +13,17 @@ handful of batched ``congestion_grid`` + ``value_grid`` calls instead
 of ~100 scalar congestion evaluations — the core of the vectorized
 solver path.  Every best response records its evaluation counts via
 :mod:`repro.numerics.instrumentation`.
+
+A user's best response depends on the opponents' rates only, so a Nash
+solve keeps a :class:`ResponseMemo` and never computes the same one
+twice.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -123,23 +127,72 @@ def best_response(allocation, utility: Utility, rates: Sequence[float],
     return result
 
 
+class ResponseMemo:
+    """Best responses already computed in one Nash problem.
+
+    User ``i``'s best response ignores ``rates[i]``, so a response
+    computed at a stored iterate serves any rate vector that agrees
+    with it bit for bit everywhere except coordinate ``i``.  Two exact
+    lookups find such an iterate: the last one stored, when at most
+    one coordinate has changed since (a lone free user's map is
+    constant), and a dict keyed on the full iterate's bytes (exact
+    cycles, and the certificate at a converged solve's last iterate).
+    Each iterate is stored once, as its bytes with its N responses, so
+    memory is O(N) per iterate.  A memo belongs to one problem: one
+    allocation, one profile and one set of search parameters.
+    """
+
+    def __init__(self) -> None:
+        self._seen: Dict[bytes, List[ScalarMaxResult]] = {}
+        self._last: Optional[bytes] = None
+
+    def lookup(self, rates: np.ndarray) -> List[Optional[ScalarMaxResult]]:
+        """Each user's stored response at ``rates`` (``None`` if none)."""
+        key = np.asarray(rates, dtype=float).tobytes()
+        stored = self._seen.get(key)
+        if stored is not None:
+            return list(stored)
+        known: List[Optional[ScalarMaxResult]] = [None] * (len(key) // 8)
+        if self._last is not None:
+            changed = np.flatnonzero(np.frombuffer(self._last, np.uint64)
+                                     != np.frombuffer(key, np.uint64))
+            if changed.size == 1:
+                i = int(changed[0])
+                known[i] = self._seen[self._last][i]
+        return known
+
+    def store(self, rates: np.ndarray,
+              results: Sequence[ScalarMaxResult]) -> None:
+        """Record every user's response at ``rates``."""
+        key = np.asarray(rates, dtype=float).tobytes()
+        self._seen[key] = list(results)
+        self._last = key
+
+
 def best_response_map(allocation, profile: Sequence[Utility],
                       rates: Sequence[float],
                       r_max: Optional[float] = None,
-                      n_scan: int = 65, tol: float = 1e-11) -> np.ndarray:
+                      n_scan: int = 65, tol: float = 1e-11,
+                      memo: Optional[ResponseMemo] = None) -> np.ndarray:
     """Simultaneous best responses: ``B(r)_i = argmax_x U_i(x, C_i)``.
 
     Fixed points of this map are exactly the Nash equilibria.
+    Responses the problem's ``memo`` already holds are reused rather
+    than recomputed (and record no solver counts), and the new ones
+    are stored; without a memo every response is computed.
     """
     r = np.asarray(rates, dtype=float)
     if len(profile) != r.size:
         raise ValueError(
             f"profile has {len(profile)} utilities for {r.size} rates")
-    out = np.empty_like(r)
-    for i, utility in enumerate(profile):
-        out[i] = best_response(allocation, utility, r, i, r_max=r_max,
-                               n_scan=n_scan, tol=tol).x
-    return out
+    memo = ResponseMemo() if memo is None else memo
+    results = [best_response(allocation, utility, r, i, r_max=r_max,
+                             n_scan=n_scan, tol=tol)
+               if result is None else result
+               for i, (utility, result) in enumerate(zip(profile,
+                                                          memo.lookup(r)))]
+    memo.store(r, results)
+    return np.array([result.x for result in results], dtype=float)
 
 
 def _grid_objective_rows(allocation, utilities: Sequence[Utility],
@@ -210,14 +263,18 @@ def best_response_map_rows(allocation,
                            rates: np.ndarray,
                            r_max: Optional[float] = None,
                            n_scan: int = 65,
-                           tol: float = 1e-11) -> np.ndarray:
+                           tol: float = 1e-11,
+                           memos: Optional[Sequence[ResponseMemo]] = None
+                           ) -> np.ndarray:
     """:func:`best_response_map` for S independent problems in lockstep.
 
     Row ``k`` of the ``(S, n)`` result equals
-    ``best_response_map(allocation, profiles[k], rates[k])`` bit for
-    bit; each user's S best responses are one
-    :func:`best_response_rows` call.  A single row goes straight to
-    :func:`best_response_map`, which is cheaper than a batch of one.
+    ``best_response_map(allocation, profiles[k], rates[k],
+    memo=memos[k])`` bit for bit; each user's S best responses are one
+    :func:`best_response_rows` call over the rows whose memo misses,
+    so every memo sees the same hits as in a one-problem solve.  A
+    single row goes straight to :func:`best_response_map`, which is
+    cheaper than a batch of one.
     """
     r = np.asarray(rates, dtype=float)
     if r.ndim != 2 or len(profiles) != r.shape[0]:
@@ -227,17 +284,26 @@ def best_response_map_rows(allocation,
         if len(profile) != r.shape[1]:
             raise ValueError(f"profile has {len(profile)} utilities for "
                              f"{r.shape[1]} rates")
+    if memos is None:
+        memos = [ResponseMemo() for _ in profiles]
     if r.shape[0] == 1:
         return best_response_map(allocation, profiles[0], r[0],
-                                 r_max=r_max, n_scan=n_scan,
-                                 tol=tol)[None, :]
-    out = np.empty_like(r)
+                                 r_max=r_max, n_scan=n_scan, tol=tol,
+                                 memo=memos[0])[None, :]
+    results = [memo.lookup(row) for memo, row in zip(memos, r)]
     for i in range(r.shape[1]):
-        results = best_response_rows(
-            allocation, [profile[i] for profile in profiles], r, i,
+        miss = [k for k, row in enumerate(results) if row[i] is None]
+        if not miss:
+            continue
+        solved = best_response_rows(
+            allocation, [profiles[k][i] for k in miss], r[miss], i,
             r_max=r_max, n_scan=n_scan, tol=tol)
-        out[:, i] = [result.x for result in results]
-    return out
+        for k, result in zip(miss, solved):
+            results[k][i] = result
+    for memo, row, row_results in zip(memos, r, results):
+        memo.store(row, row_results)
+    return np.array([[result.x for result in row] for row in results],
+                    dtype=float)
 
 
 def utility_improvement(allocation, utility: Utility,
@@ -258,18 +324,31 @@ def utility_improvement(allocation, utility: Utility,
 
 def utility_improvement_rows(allocation, utilities: Sequence[Utility],
                              rates: np.ndarray, i: int,
-                             r_max: Optional[float] = None) -> List[float]:
+                             r_max: Optional[float] = None,
+                             memos: Optional[Sequence[ResponseMemo]] = None
+                             ) -> List[float]:
     """:func:`utility_improvement` for user ``i`` in S problems at once.
 
     Row ``k`` of ``rates`` and ``utilities[k]`` form problem ``k``; the
-    S best responses are one :func:`best_response_rows` call.
+    best responses that ``memos[k]`` does not already hold are one
+    :func:`best_response_rows` call.  The current values are always
+    evaluated (and counted).
     """
     r = np.asarray(rates, dtype=float)
     current = [utility.value(float(row[i]), allocation.congestion_i(row, i))
                for utility, row in zip(utilities, r)]
     instrumentation.record(objective_evals=len(current),
                            congestion_evals=len(current))
-    best = best_response_rows(allocation, utilities, r, i, r_max=r_max)
+    if memos is None:
+        memos = [ResponseMemo() for _ in utilities]
+    best = [memo.lookup(row)[i] for memo, row in zip(memos, r)]
+    miss = [k for k, result in enumerate(best) if result is None]
+    if miss:
+        solved = best_response_rows(allocation,
+                                    [utilities[k] for k in miss], r[miss],
+                                    i, r_max=r_max)
+        for k, result in zip(miss, solved):
+            best[k] = result
     return [0.0 if math.isinf(value) and math.isinf(result.value)
             else result.value - value
             for value, result in zip(current, best)]

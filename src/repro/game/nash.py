@@ -25,6 +25,7 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from repro.game.best_response import (
+    ResponseMemo,
     best_response_map,
     best_response_map_rows,
     uses_grid,
@@ -79,12 +80,16 @@ class NashResult:
 
 
 def _certify_many(allocation, profiles: Sequence[Sequence[Utility]],
-                  rates: np.ndarray) -> List[float]:
+                  rates: np.ndarray,
+                  memos: Optional[Sequence[ResponseMemo]] = None
+                  ) -> List[float]:
     """Max unilateral gain over all users, for each row of ``rates``
-    (equilibrium certificates); each user's rows are one batch."""
+    (equilibrium certificates); each user's rows are one batch, and
+    responses the solve's ``memos`` hold are reused."""
     r = np.asarray(rates, dtype=float)
     per_user = [utility_improvement_rows(
-        allocation, [profile[i] for profile in profiles], r, i)
+        allocation, [profile[i] for profile in profiles], r, i,
+        memos=memos)
         for i in range(len(profiles[0]))]
     return [float(max(gains)) for gains in zip(*per_user)]
 
@@ -98,9 +103,11 @@ def _certify(allocation, profile: Sequence[Utility],
 
 def _package_many(allocation, profiles: Sequence[Sequence[Utility]],
                   rates: Sequence[np.ndarray], converged: Sequence[bool],
-                  iterations: Sequence[int],
-                  method: str) -> List[NashResult]:
-    gains = _certify_many(allocation, profiles, np.array(rates, dtype=float))
+                  iterations: Sequence[int], method: str,
+                  memos: Optional[Sequence[ResponseMemo]] = None
+                  ) -> List[NashResult]:
+    gains = _certify_many(allocation, profiles, np.array(rates, dtype=float),
+                          memos)
     results = []
     for profile, x, ok, count, gain in zip(profiles, rates, converged,
                                            iterations, gains):
@@ -116,9 +123,11 @@ def _package_many(allocation, profiles: Sequence[Sequence[Utility]],
 
 
 def _package(allocation, profile: Sequence[Utility], rates: np.ndarray,
-             converged: bool, iterations: int, method: str) -> NashResult:
+             converged: bool, iterations: int, method: str,
+             memo: Optional[ResponseMemo] = None) -> NashResult:
     return _package_many(allocation, [profile], [rates], [converged],
-                         [iterations], method)[0]
+                         [iterations], method,
+                         None if memo is None else [memo])[0]
 
 
 def default_start(n_users: int, allocation=None) -> np.ndarray:
@@ -136,18 +145,27 @@ def solve_nash(allocation, profile: Sequence[Utility],
                r0: Optional[Sequence[float]] = None,
                damping: float = 0.5, tol: float = 1e-9,
                max_iter: int = 400) -> NashResult:
-    """Damped best-response iteration to a Nash equilibrium."""
+    """Damped best-response iteration to a Nash equilibrium.
+
+    The solve keeps a :class:`~repro.game.best_response.ResponseMemo`:
+    a best response whose opponents' rates it has already seen (a lone
+    free user, an exactly repeating cycle, the certificate at the last
+    mapped iterate) is reused instead of recomputed.  The result is
+    bit-identical to mapping without it; only the solver counters,
+    which count work actually done, are smaller.
+    """
     n = len(profile)
     start = (default_start(n, allocation) if r0 is None
              else np.asarray(r0, dtype=float))
+    memo = ResponseMemo()
 
     def mapping(r: np.ndarray) -> np.ndarray:
-        return best_response_map(allocation, profile, r)
+        return best_response_map(allocation, profile, r, memo=memo)
 
     outcome = damped_fixed_point(mapping, start, damping=damping, tol=tol,
                                  max_iter=max_iter)
     return _package(allocation, profile, outcome.x, outcome.converged,
-                    outcome.iterations, method="best-response")
+                    outcome.iterations, method="best-response", memo=memo)
 
 
 def solve_nash_many(allocation, profiles: Sequence[Sequence[Utility]],
@@ -163,6 +181,8 @@ def solve_nash_many(allocation, profiles: Sequence[Sequence[Utility]],
     round's best responses are one row-batched map
     (:func:`~repro.game.best_response.best_response_map_rows`), so the
     fixed numpy cost of a zoom round is paid once for all problems.
+    Each problem keeps its own best-response memo, as in
+    :func:`solve_nash`, and only the rows that miss it are batched.
     Off the grid path, where there is nothing to share, the problems
     are solved one by one.  All profiles must have the same length.
     """
@@ -180,9 +200,13 @@ def solve_nash_many(allocation, profiles: Sequence[Sequence[Utility]],
                    else np.asarray(start, dtype=float)
                    for profile, start in zip(profiles, starts)])
 
+    memos = [ResponseMemo() for _ in profiles]
+
     def mapping(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        picked = rows.tolist()
         return best_response_map_rows(
-            allocation, [profiles[k] for k in rows.tolist()], x)
+            allocation, [profiles[k] for k in picked], x,
+            memos=[memos[k] for k in picked])
 
     outcomes = damped_fixed_point_rows(mapping, x0, damping=damping,
                                        tol=tol, max_iter=max_iter)
@@ -190,7 +214,7 @@ def solve_nash_many(allocation, profiles: Sequence[Sequence[Utility]],
                          [outcome.x for outcome in outcomes],
                          [outcome.converged for outcome in outcomes],
                          [outcome.iterations for outcome in outcomes],
-                         method="best-response")
+                         method="best-response", memos=memos)
 
 
 def solve_nash_fdc(allocation, profile: Sequence[Utility],

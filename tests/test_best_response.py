@@ -2,13 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.disciplines.fair_share import FairShareAllocation
+from repro.disciplines.proportional import ProportionalAllocation
+from repro.disciplines.registry import available_disciplines, make_discipline
 from repro.game.best_response import (
     best_response,
     best_response_map,
     utility_improvement,
 )
+from repro.network.model import NetworkAllocation
+from repro.numerics.instrumentation import set_vectorized
+from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
+from repro.users.profiles import random_mixed_profile
 
 
 class TestBestResponse:
@@ -87,3 +96,56 @@ class TestUtilityImprovement:
         gain = utility_improvement(fifo, utility,
                                    np.array([0.01, 0.25]), 0)
         assert gain > 1e-3
+
+
+#: Every registered discipline, a subsystem (Fair Share with user 1
+#: frozen, three free users) and a two-switch network (FIFO then Fair
+#: Share; users 0 and 2 cross both), with their user counts
+#: (``None``: any).
+OWN_RATE_ALLOCATIONS = {
+    **{name: (lambda name=name: make_discipline(name), None)
+       for name in available_disciplines()},
+    "subsystem": (lambda: FairShareAllocation().subsystem({1: 0.12}), 3),
+    "network": (lambda: NetworkAllocation(
+        [ProportionalAllocation(), FairShareAllocation()],
+        routes=[(0, 1), (0,), (0, 1), (1,)]), 4),
+}
+
+
+class TestOwnRateIgnored:
+    """``best_response(a, u, r, i)`` depends on ``r`` only through the
+    opponents' rates: changing ``r[i]`` alone changes nothing it
+    returns, counts included.  The Nash solvers' best-response memo
+    reuses a response across iterates that differ only in ``r[i]``,
+    so this contract must hold on both solver paths."""
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    @pytest.mark.parametrize("kind", sorted(OWN_RATE_ALLOCATIONS))
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_users=st.integers(1, 4),
+           user=st.integers(0, 3),
+           own=st.floats(0.0, 2.0, allow_subnormal=False))
+    def test_same_result_when_only_own_rate_changes(self, kind, mode, seed,
+                                                    n_users, user, own):
+        make, fixed_users = OWN_RATE_ALLOCATIONS[kind]
+        allocation = make()
+        n = fixed_users if fixed_users is not None else n_users
+        i = user % n
+        generator = default_rng(seed)
+        utility = random_mixed_profile(1, generator)[0]
+        rates = (generator.dirichlet(np.ones(n))
+                 * generator.uniform(0.05, 0.9))
+        moved = rates.copy()
+        moved[i] = own
+        set_vectorized(mode)
+        try:
+            before = best_response(allocation, utility, rates, i)
+            after = best_response(allocation, utility, moved, i)
+        finally:
+            set_vectorized(None)
+        assert np.float64(after.x).tobytes() == \
+            np.float64(before.x).tobytes()
+        assert np.float64(after.value).tobytes() == \
+            np.float64(before.value).tobytes()
+        assert after.evaluations == before.evaluations
+        assert after.grid_calls == before.grid_calls

@@ -8,9 +8,13 @@ converge at different iterations and rows that run out of
 iterations.  The row building
 blocks underneath (row evaluators, row utility evaluation, the
 per-row fallback when an objective raises) are pinned here too, and
-so are the solver counters the two batched experiments report.
+so are the solver counters the two batched experiments report.  Both
+solvers keep a per-problem best-response memo; they are checked
+against the memo-free composition of the damped iteration and the
+certificate.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.priority import PriorityAllocation
 from repro.disciplines.proportional import ProportionalAllocation
+from repro.experiments import t5_stackelberg
 from repro.experiments.registry import run_experiments
 from repro.game.best_response import (
     best_response,
@@ -28,11 +33,18 @@ from repro.game.best_response import (
     best_response_map_rows,
     best_response_rows,
 )
-from repro.game.nash import find_all_nash, solve_nash, solve_nash_many
+from repro.game.nash import (
+    _package,
+    default_start,
+    find_all_nash,
+    solve_nash,
+    solve_nash_many,
+)
 from repro.game.revelation import misreport_gain, nash_mechanism
 from repro.game.witnesses import fifo_multiplicity_witness
 from repro.network.model import NetworkAllocation
 from repro.numerics.instrumentation import set_vectorized, track_solver
+from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.rng import default_rng
 from repro.users.families import (
     DelayBasedUtility,
@@ -197,6 +209,130 @@ class TestSolveNashManyMatchesLoop:
         with pytest.raises(ValueError, match="differ in length"):
             solve_nash_many(fs, [profile, profile[:1]], [None, None])
         assert solve_nash_many(fs, [], []) == []
+
+
+def memo_free(allocation, profile, r0=None, max_iter=400):
+    """The oracle: ``solve_nash`` without a best-response memo, i.e.
+    the damped iteration of the plain map and a fresh certificate."""
+    start = (default_start(len(profile), allocation) if r0 is None
+             else np.asarray(r0, dtype=float))
+    outcome = damped_fixed_point(
+        lambda r: best_response_map(allocation, profile, r), start,
+        damping=0.5, tol=1e-9, max_iter=max_iter)
+    return _package(allocation, profile, outcome.x, outcome.converged,
+                    outcome.iterations, method="best-response")
+
+
+def counted(function, *args, **kwargs):
+    """``function(*args, **kwargs)`` with its solver counters."""
+    with track_solver() as counters:
+        result = function(*args, **kwargs)
+    return result, (counters.objective_evals, counters.congestion_evals,
+                    counters.grid_calls)
+
+
+#: The module, not the function the package re-exports under its name.
+BEST_RESPONSE_MODULE = importlib.import_module("repro.game.best_response")
+
+
+class TestBestResponseMemo:
+    """``solve_nash`` and ``solve_nash_many`` reuse best responses whose
+    opponents' rates they have already seen; every result field stays
+    bit for bit what the memo-free solve returns."""
+
+    def test_one_user_subsystem_makes_one_best_response(self, monkeypatch):
+        calls = []
+        original = BEST_RESPONSE_MODULE.best_response
+
+        def spy(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        sub = FairShareAllocation().subsystem({0: 0.3})
+        profile = [PowerUtility(gamma=0.5, q=1.1)]
+        expected = memo_free(sub, profile)
+        assert expected.iterations > 2
+        monkeypatch.setattr(BEST_RESPONSE_MODULE, "best_response", spy)
+        actual, counts = counted(solve_nash, sub, profile)
+        assert_same_result(actual, expected)
+        assert calls == [0]
+        # The lone free user's response ignores her own rate, so every
+        # row of a batch repeats the same single best response.
+        starts = [None, [0.1], [0.5]]
+        results, batched_counts = counted(solve_nash_many, sub,
+                                          [profile] * 3, starts)
+        assert batched_counts == tuple(3 * count for count in counts)
+        for result, start in zip(results, starts):
+            assert_same_result(result, memo_free(sub, profile, r0=start))
+
+    def test_cycling_fair_share_witness_start_hits(self):
+        """The Theorem-4 Fair Share witness start that runs all 400
+        iterations: its iterates cycle exactly, so most of its best
+        responses are repeats."""
+        witness = fifo_multiplicity_witness(a=0.15, b=0.45)
+        profile = [witness, witness]
+        fs = FairShareAllocation()
+        start = [0.03552157425297607, 0.03928162766578544]
+        expected, oracle_counts = counted(memo_free, fs, profile, r0=start)
+        assert (expected.iterations, expected.converged) == (400, False)
+        actual, counts = counted(solve_nash, fs, profile, r0=start)
+        assert_same_result(actual, expected)
+        assert counts[0] < oracle_counts[0] // 2
+        others = [[0.7019902430855344, 0.2017942593379851], start]
+        batched, batched_counts = counted(
+            solve_nash_many, fs, [profile] * 2, others)
+        looped, looped_counts = counted(
+            lambda: [solve_nash(fs, profile, r0=r0) for r0 in others])
+        assert batched_counts == looped_counts
+        for got, want in zip(batched, looped):
+            assert_same_result(got, want)
+
+    def test_max_iter_certificate_is_fresh(self):
+        """A solve that runs out of iterations returns an iterate it
+        never mapped, so its certificate is computed afresh: with no
+        repeats in the map, the counters equal the memo-free ones."""
+        fifo = ProportionalAllocation()
+        profile = [LinearUtility(gamma=0.3), PowerUtility(gamma=0.5, q=1.1)]
+        expected, oracle_counts = counted(memo_free, fifo, profile,
+                                          r0=[0.05, 0.6], max_iter=4)
+        assert not expected.converged
+        actual, counts = counted(solve_nash, fifo, profile, r0=[0.05, 0.6],
+                                 max_iter=4)
+        assert_same_result(actual, expected)
+        assert counts == oracle_counts
+
+    @pytest.mark.parametrize("kind", sorted(ALLOCATIONS))
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_rows=st.integers(1, 3),
+           n_users=st.integers(1, 4), max_iter=st.integers(1, 60))
+    def test_random_problems_match_memo_free(self, kind, seed, n_rows,
+                                             n_users, max_iter):
+        make, fixed_users = ALLOCATIONS[kind]
+        allocation = make()
+        n = fixed_users if fixed_users is not None else n_users
+        profiles, starts = draw_problems(seed, n, n_rows, allocation)
+        expected = [memo_free(allocation, profile, r0=start,
+                              max_iter=max_iter)
+                    for profile, start in zip(profiles, starts)]
+        batched = solve_nash_many(allocation, profiles, starts,
+                                  max_iter=max_iter)
+        for profile, start, got, want in zip(profiles, starts, batched,
+                                             expected):
+            assert_same_result(got, want)
+            assert_same_result(solve_nash(allocation, profile, r0=start,
+                                          max_iter=max_iter), want)
+
+    def test_t5_leader_advantages_pinned(self):
+        """t5's fast leader-advantage table, as recorded before the
+        memo and the shared full-game solve."""
+        report = t5_stackelberg.run(seed=0, fast=True)
+        assert [[cell.hex() if isinstance(cell, float) else cell
+                 for cell in row] for row in report.tables[0].rows] == [
+            ["witness (multi-eq under FIFO)", 0, "0x1.6131de4120b80p-1",
+             "0x1.0000000000000p-47"],
+            ["witness (multi-eq under FIFO)", 1, "0x1.6131de4120b80p-1",
+             "0x1.0000000000000p-47"],
+        ]
 
 
 class TestMultistartAndMisreport:
@@ -417,7 +553,8 @@ class TestValueGridRows:
 class TestBatchedExperimentCounters:
     """The batched multistart and misreport scans record every row's
     work, certification included: the counters equal the
-    one-problem-at-a-time totals."""
+    one-problem-at-a-time totals.  Best responses reused from a
+    solve's memo are work not done and are not counted."""
 
     def test_t4_and_t6_solver_counters(self):
         set_vectorized("on")
@@ -430,5 +567,5 @@ class TestBatchedExperimentCounters:
                    report.summary["solver_congestion_evals"],
                    report.summary["solver_grid_calls"])
                   for report in (t4, t6)]
-        assert counts == [(3878472, 3878472, 106074),
-                          (2236064, 2236064, 61164)]
+        assert counts == [(3622050, 3622050, 99060),
+                          (2176844, 2176844, 59544)]
